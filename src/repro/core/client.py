@@ -187,7 +187,7 @@ class RaiClient:
             # holds (and re-adds any the server has since expired) — the
             # negotiation is ground truth for the wire.
             delta = manifest.delta(base)
-            self.system.monitor.incr("client_delta_chunks", len(delta))
+            self.system.counters.incr("client_delta_chunks", len(delta))
             wire_bytes = (
                 self.system.storage.chunk_store.missing_bytes(manifest)
                 + manifest.delta_wire_size(base))
@@ -222,7 +222,7 @@ class RaiClient:
                 padding_bytes=self.project_padding_bytes, dedup=dedup,
                 file_digests=file_digests)
         except StorageError as exc:
-            self.system.monitor.incr("client_upload_failures")
+            self.system.counters.incr("client_upload_failures")
             upload_span.end(status="error", message=str(exc))
             return reject(SubmissionRejected(f"project upload failed: {exc}"))
         upload_span.end()
@@ -230,11 +230,11 @@ class RaiClient:
             self._last_manifest = manifest
         result.upload_bytes = upload_bytes
         result.upload_bytes_full = full_bytes
-        self.system.monitor.incr("bytes_uploaded", upload_bytes)
-        self.system.monitor.incr("bytes_uploaded_logical", full_bytes)
+        self.system.counters.incr("bytes_uploaded", upload_bytes)
+        self.system.counters.incr("bytes_uploaded_logical", full_bytes)
         if full_bytes > upload_bytes:
-            self.system.monitor.incr("bytes_upload_deduped",
-                                     full_bytes - upload_bytes)
+            self.system.counters.incr("bytes_upload_deduped",
+                                      full_bytes - upload_bytes)
         usage = getattr(self.system, "usage", None)
         if usage is not None:
             tenant = self.team or self.username
@@ -282,15 +282,15 @@ class RaiClient:
             # The job never reached the queue; release the log subscription
             # (otherwise the ephemeral log topic is pinned forever).
             consumer.close()
-            self.system.monitor.incr("client_publish_rejected")
+            self.system.counters.incr("client_publish_rejected")
             publish_span.end(status="error", message=str(exc))
             return reject(SubmissionRejected(
                 f"job request rejected by the broker: {exc}"))
         publish_span.end()
         result.status = JobStatus.QUEUED
         result.queued_at = self.sim.now
-        self.system.monitor.incr("jobs_submitted")
-        self.system.monitor.record_submission(self.sim.now, kind)
+        self.system.counters.incr("jobs_submitted")
+        self.system.submission_times.append(self.sim.now)
         events = getattr(self.system, "events", None)
         shards = getattr(self.system, "shards", None)
         if events is not None and shards is not None:
@@ -327,7 +327,7 @@ class RaiClient:
                             f"timed out after {wait_timeout:.0f}s waiting "
                             f"for job completion")
                         result.finished_at = self.sim.now
-                        self.system.monitor.incr("client_wait_timeouts")
+                        self.system.counters.incr("client_wait_timeouts")
                         span.add_event("wait.timeout", seconds=wait_timeout)
                         break
                     message = get_event.value

@@ -159,7 +159,7 @@ class InteractiveSession:
         self._in = Producer(self.system.broker,
                             f"log_isin_{self.session_id}")
         self.system.broker.publish("rai-interactive", body)
-        self.system.monitor.incr("interactive_sessions_requested")
+        self.system.counters.incr("interactive_sessions_requested")
 
         while True:
             message = yield self._out.get()
@@ -325,7 +325,7 @@ def _serve_one(worker, request: dict):
         container.start()
         worker.active_jobs += 1
         publish("attached", container=container.id)
-        system.monitor.incr("interactive_sessions_served")
+        system.counters.incr("interactive_sessions_served")
 
         deadline = sim.now + min(float(request.get("max_duration",
                                                    DEFAULT_SESSION_SECONDS)),

@@ -19,13 +19,13 @@ from repro.broker.broker import MessageBroker
 from repro.container.image import ImageRegistry, default_registry
 from repro.core.client import RaiClient
 from repro.core.config import SystemConfig, WorkerConfig
-from repro.core.job import JobKind, JobStatus
+from repro.core.job import JobStatus
 from repro.core.ranking import RankingService
 from repro.core.ratelimit import RateLimiter
 from repro.core.worker import RaiWorker
 from repro.docdb.database import DocumentDB
 from repro.obs.alerts import AlertManager
-from repro.obs.events import EventLog
+from repro.obs.events import EventLog, EventType
 from repro.obs.metrics import CounterGroup, MetricsRegistry
 from repro.obs.scrape import MetricsScraper
 from repro.obs.slo import SloEngine, SloSpec, default_slos
@@ -35,35 +35,10 @@ from repro.obs.tracer import Tracer
 from repro.sched import JobScheduler, RuntimeEstimator, SchedulerPolicy
 from repro.shard import ShardMap, ShardedControlPlane
 from repro.sim.kernel import Simulator
-from repro.sim.monitor import Monitor
 from repro.sim.random import RandomStreams
 from repro.storage.buildcache import BuildCache
 from repro.storage.lifecycle import LifecycleRule
 from repro.storage.object_store import ObjectStore
-
-
-class SystemMonitor(Monitor):
-    """Deployment monitor: adds the submission event log Figure 4 uses.
-
-    When handed a :class:`~repro.obs.metrics.MetricsRegistry` its counters
-    live there (unprefixed) so every tally in the deployment — monitor,
-    broker, planner — shares one queryable store; ``monitor.counters``
-    keeps the legacy ``incr``/``get``/``as_dict`` surface as a thin view.
-    """
-
-    def __init__(self, sim, metrics: Optional[MetricsRegistry] = None):
-        super().__init__(sim)
-        if metrics is not None:
-            self.counters = CounterGroup(metrics)
-        #: (sim time, JobKind) per accepted submission.
-        self.submission_events: List[tuple] = []
-
-    def record_submission(self, time: float, kind: JobKind) -> None:
-        self.submission_events.append((time, kind))
-        self.incr("submissions_total")
-
-    def submission_times(self) -> List[float]:
-        return [t for t, _ in self.submission_events]
 
 
 class RaiSystem:
@@ -76,10 +51,13 @@ class RaiSystem:
         self.sim = Simulator()
         self.rng = RandomStreams(seed)
         #: The deployment-wide metrics registry: every counter, gauge, and
-        #: histogram in the system lives here (§ the unified side of
-        #: ``repro.obs``); legacy accessors are views over it.
+        #: histogram in the system lives here.
         self.metrics = MetricsRegistry()
-        self.monitor = SystemMonitor(self.sim, metrics=self.metrics)
+        #: Deployment-level tallies (``jobs_submitted``, ``storage_retries``
+        #: ...), unprefixed in :attr:`metrics`.
+        self.counters = CounterGroup(self.metrics)
+        #: Sim time of every accepted submission (Figure 4's histogram).
+        self.submission_times: List[float] = []
         #: The deployment tracer; one submission = one trace spanning
         #: client → broker → worker → container → storage → docdb.
         self.tracer = Tracer(
@@ -116,7 +94,8 @@ class RaiSystem:
                                     tracer=self.tracer, events=self.events)
         self.broker.usage = self.usage
         self.storage = ObjectStore(self.sim,
-                                   chunk_size=self.config.chunk_size_bytes)
+                                   chunk_size=self.config.chunk_size_bytes,
+                                   metrics=self.metrics)
         self.storage.usage = self.usage
         #: Content-keyed build-artifact cache shared by every worker
         #: (``repro.storage.buildcache``); None reproduces the
@@ -187,7 +166,7 @@ class RaiSystem:
             since="creation"))
 
         # Callback gauges: live deployment signals readable straight off
-        # the registry (and sampled into time series by TelemetrySampler).
+        # the registry (and sampled over time by the scraper).
         self.metrics.gauge("queue_depth", fn=self.queue_depth)
         self.metrics.gauge("workers_running",
                            fn=lambda: len(self.running_workers))
@@ -211,7 +190,7 @@ class RaiSystem:
                            fn=lambda: (self.build_cache.total_blob_bytes
                                        if self.build_cache else 0))
         # Fleet economics off the registry, not just `rai`/CostReport:
-        # totals are unlabelled callback gauges (the sampler scrapes
+        # totals are unlabelled callback gauges (the scraper samples
         # them); per-instance-type splits are registered per type by the
         # provisioner itself.
         self.metrics.gauge("cluster_cost_usd_total",
@@ -251,6 +230,13 @@ class RaiSystem:
         self.alerts = AlertManager(clock=lambda: self.sim.now,
                                    events=self.events)
         self.alerts.attach_slo_engine(self.slo_engine)
+        # The scrape loop's own watchdog: judged only while the loop
+        # runs, so a never-started or deliberately stopped loop is quiet.
+        self.alerts.watch_heartbeat(
+            "metrics-scraper", self.scraper.last_beat,
+            grace=3 * self.scraper.interval,
+            summary="metrics scraper has stopped taking snapshots",
+            active=lambda: self.scraper.running)
 
         #: :class:`~repro.durability.DurabilityManager` once
         #: :meth:`attach_durability` (or :meth:`restore`) wires one in;
@@ -287,9 +273,9 @@ class RaiSystem:
         worker = RaiWorker(self, config=wconf, worker_id=worker_id)
         worker.partition = partition
         self.workers.append(worker)
-        self.monitor.incr("workers_started")
-        # Per-worker labelled gauges (`rai top` reads these; the telemetry
-        # sampler skips labelled gauges so they cost nothing per tick).
+        self.counters.incr("workers_started")
+        # Per-worker labelled gauges (`rai top` reads these; the scraper
+        # skips labelled callback gauges so they cost nothing per tick).
         self.metrics.gauge("worker_slot_utilization",
                            fn=worker.utilization, worker=worker.id)
         self.metrics.gauge("worker_pool_hit_rate",
@@ -304,7 +290,7 @@ class RaiSystem:
                 return
             worker = running[-1]
         worker.stop()
-        self.monitor.incr("workers_stopped")
+        self.counters.incr("workers_stopped")
 
     @property
     def running_workers(self) -> List[RaiWorker]:
@@ -338,16 +324,12 @@ class RaiSystem:
     def start_observability(self):
         """Start the periodic scrape → SLO-judge → alert loop.
 
-        Opt-in like the caretaker (a perpetual process); also arms the
-        scraper's own heartbeat watchdog, so a wedged loop is itself an
-        alert.  Without this, ``rai slo`` / ``rai alerts`` still work by
-        scraping on demand — they just lack between-call history.
+        Opt-in like the caretaker (a perpetual process); while it runs,
+        the scraper's heartbeat watchdog makes a wedged loop itself an
+        alert (``stuck:metrics-scraper``).  Without this, ``rai slo`` /
+        ``rai alerts`` still work by scraping on demand — they just lack
+        between-call history.
         """
-        self.alerts.watch_heartbeat(
-            "metrics-scraper",
-            lambda: self.scraper.last_scrape_at,
-            grace=3 * self.scraper.interval,
-            summary="metrics scraper has stopped taking snapshots")
 
         def _on_scrape(snapshot):
             # Settle billing windows and push the per-team cost/burn
@@ -420,10 +402,10 @@ class RaiSystem:
                     "reason": f"task message dead-lettered after "
                               f"{message.attempts} delivery attempts"})
             drained += 1
-            self.monitor.incr("dead_letters_drained")
-            self.monitor.log("dead_letter_drained", route=route,
-                             message_id=message.id, job_id=job_id,
-                             attempts=message.attempts)
+            self.counters.incr("dead_letters_drained")
+            self.events.emit(EventType.BROKER_DEAD_LETTER_DRAINED,
+                             route=route, message_id=message.id,
+                             job_id=job_id, attempts=message.attempts)
             headers = message.headers or {}
             self.events.emit("job.state_change",
                              trace_id=headers.get("trace_id"),
@@ -527,7 +509,6 @@ class RaiSystem:
             DurabilityManager,
         )
         from repro.durability.snapshot import load_snapshot
-        from repro.obs.events import EventType
 
         started = _wallclock.perf_counter()
         snap = load_snapshot(
@@ -555,7 +536,7 @@ class RaiSystem:
             replayed=counts["replayed"], torn=counts["torn"],
             discarded=counts["discarded"], requeued=counts["requeued"],
             fenced=counts["fenced"], anomalies=counts["anomalies"])
-        system.monitor.incr("restores")
+        system.counters.incr("restores")
         return system
 
     # -- running ------------------------------------------------------------

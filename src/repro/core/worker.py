@@ -42,6 +42,7 @@ from repro.errors import (
     TransientStorageError,
 )
 from repro.gpu.device import get_device
+from repro.obs.events import EventType
 from repro.storage.buildcache import image_cache_key
 from repro.storage.chunkstore import digest_file_map
 from repro.vfs import VirtualFileSystem, file_digest, pack_tree, unpack_tree
@@ -255,7 +256,7 @@ class RaiWorker:
                 # blocking get, so idle slots still wake fairly.
                 message = consumer.try_get()
                 if message is not None:
-                    self.system.monitor.incr("worker_prefetch_claims")
+                    self.system.counters.incr("worker_prefetch_claims")
                 else:
                     get_event = consumer.get()
                     try:
@@ -285,12 +286,11 @@ class RaiWorker:
                     # budget routes it to the dead-letter list, where the
                     # system dead-letter consumer picks it up.
                     if not consumer.requeue(message):
-                        self.system.monitor.incr(
+                        self.system.counters.incr(
                             "task_messages_dead_lettered")
-                        self.system.monitor.log(
-                            "task_message_dead_lettered",
-                            message_id=message.id,
-                            attempts=message.attempts)
+                        self._emit(EventType.WORKER_TASK_DEAD_LETTERED,
+                                   message_id=message.id,
+                                   attempts=message.attempts)
                 else:
                     # The job was parsed out of the body long ago and the
                     # envelope is never touched again: recycle it.
@@ -322,12 +322,11 @@ class RaiWorker:
             # the executor requeue it toward the dead-letter path; count
             # and log the parse error once, on first sight.
             if message.attempts <= 1:
-                self.system.monitor.incr("malformed_job_messages")
+                self.system.counters.incr("malformed_job_messages")
                 self.jobs_failed += 1
-            self.system.monitor.log(
-                "malformed_job_message", message_id=message.id,
-                attempts=message.attempts,
-                error=f"{type(exc).__name__}: {exc}")
+            self._emit(EventType.WORKER_MALFORMED_MESSAGE,
+                       message_id=message.id, attempts=message.attempts,
+                       error=f"{type(exc).__name__}: {exc}")
             return False
         deadline = (self.sim.now + self.config.job_deadline_seconds
                     if self.config.job_deadline_seconds is not None else None)
@@ -434,7 +433,7 @@ class RaiWorker:
                 publish_log("stdout", f"Pulling image {spec.image} ...\n")
                 wspan.add_event("image.pull", image=spec.image,
                                 seconds=pull_cost)
-                self.system.monitor.incr(
+                self.system.counters.incr(
                     "image_bytes_pulled",
                     int(pull_cost * self.config.pull_bandwidth_bps))
                 yield self.sim.timeout(pull_cost)
@@ -632,7 +631,7 @@ class RaiWorker:
                             "stderr",
                             f"⚠ build upload failed after retries: {exc}\n")
                         put_span.end(status="error", message=str(exc))
-                        self.system.monitor.incr("build_upload_failures")
+                        self.system.counters.incr("build_upload_failures")
                     else:
                         put_span.end()
                         usage_upload_bytes = len(blob)
@@ -658,9 +657,9 @@ class RaiWorker:
             publish_log("stderr", f"✗ {exc}\n")
             status = JobStatus.FAILED
             exit_code = 124
-            self.system.monitor.incr("jobs_deadline_exceeded")
-            self.system.monitor.log("job_deadline_exceeded", job_id=job.id,
-                                    worker=self.id)
+            self.system.counters.incr("jobs_deadline_exceeded")
+            self._emit(EventType.JOB_DEADLINE_EXCEEDED, span=wspan,
+                       job_id=job.id, team=job.team)
             wspan.add_event("deadline_exceeded",
                             deadline_s=self.config.job_deadline_seconds)
             self._record(job, status, exit_code, outputs, build_url,
@@ -758,9 +757,9 @@ class RaiWorker:
             self.fetch_cache_evictions += 1
         self.fetch_cache_hit_bytes += saved
         self.fetch_cache_miss_bytes += transferred
-        self.system.monitor.incr("worker_fetch_bytes", transferred)
+        self.system.counters.incr("worker_fetch_bytes", transferred)
         if saved:
-            self.system.monitor.incr("worker_fetch_bytes_saved", saved)
+            self.system.counters.incr("worker_fetch_bytes_saved", saved)
         return transferred
 
     def fetch_cache_stats(self) -> dict:
@@ -810,7 +809,7 @@ class RaiWorker:
 
         def on_retry(attempt, exc):
             self._check_deadline(deadline)
-            self.system.monitor.incr("storage_retries")
+            self.system.counters.incr("storage_retries")
             if span is not None:
                 span.add_event("retry", attempt=attempt,
                                error=f"{type(exc).__name__}: {exc}")
@@ -857,10 +856,9 @@ class RaiWorker:
             else None
         submissions = self.system.db.collection("submissions")
         if submissions.find_one({"job_id": job.id}) is not None:
-            self.system.monitor.incr("duplicate_records_suppressed")
-            self.system.monitor.log("duplicate_record_suppressed",
-                                    job_id=job.id, worker=self.id,
-                                    attempts=attempts)
+            self.system.counters.incr("duplicate_records_suppressed")
+            self._emit(EventType.JOB_DUPLICATE_SUPPRESSED, span=span,
+                       job_id=job.id, team=job.team, attempts=attempts)
             if record_span is not None:
                 record_span.set_attribute("duplicate", True)
                 record_span.end()
@@ -896,7 +894,7 @@ class RaiWorker:
             "stdout_tail": stdout[-2000:],
             "stderr_tail": stderr[-2000:],
         })
-        self.system.monitor.incr("jobs_recorded")
+        self.system.counters.incr("jobs_recorded")
         if service_seconds is not None:
             # Feed the fair-share estimator that owns this job's key: the
             # shared scheduler, or its partition's instance when sharded.

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import copy
 import re
-from collections.abc import MutableMapping
 from typing import Any, Dict, List, Optional
 
 from repro.docdb.aggregate import run_pipeline
@@ -16,48 +15,9 @@ from repro.errors import DocDbError, DuplicateKeyError
 from repro.obs.metrics import MetricsRegistry
 
 
-class PlannerStats(MutableMapping):
-    """Dict-shaped view of one collection's planner counters.
-
-    The numbers live in the shared metrics registry as ``planner_<stat>``
-    gauges labelled by collection, so the operator surface (snapshots,
-    the telemetry report) sees them alongside everything else; existing
-    code keeps reading and writing ``coll.planner_stats`` like the plain
-    dict it used to be (including resetting entries to zero — hence
-    gauges, not counters).
-    """
-
-    KEYS = ("index_hits", "range_hits", "scans", "docs_examined")
-
-    def __init__(self, metrics: MetricsRegistry, collection: str):
-        self._metrics = metrics
-        self._collection = collection
-        for key in self.KEYS:
-            self._gauge(key)
-
-    def _gauge(self, key: str):
-        if key not in self.KEYS:
-            raise KeyError(key)
-        return self._metrics.gauge(f"planner_{key}",
-                                   collection=self._collection)
-
-    def __getitem__(self, key: str) -> int:
-        return int(self._gauge(key).value)
-
-    def __setitem__(self, key: str, value) -> None:
-        self._gauge(key).set(value)
-
-    def __delitem__(self, key: str) -> None:
-        raise TypeError("planner stats keys are fixed")
-
-    def __iter__(self):
-        return iter(self.KEYS)
-
-    def __len__(self) -> int:
-        return len(self.KEYS)
-
-    def __repr__(self):
-        return f"PlannerStats({dict(self)!r})"
+#: Access-path tallies each collection keeps (``planner_<key>`` counters
+#: labelled by collection).
+PLANNER_KEYS = ("index_hits", "range_hits", "scans", "docs_examined")
 
 
 _OID_RE = re.compile(r"^oid-(\d+)$")
@@ -77,9 +37,16 @@ class Collection:
         #: Access-path plan of the most recent find/update/delete/count —
         #: the write-path equivalent of ``Cursor.explain()``.
         self.last_plan: Optional[dict] = None
-        #: Cumulative planner activity (index hits vs scans, docs
-        #: examined) — a dict-shaped view over registry gauges.
-        self.planner_stats = PlannerStats(db.metrics, name)
+        # Cumulative planner activity (index hits vs scans, docs
+        # examined), bound once so planning never looks a series up.
+        self._planner = {key: db.metrics.counter(f"planner_{key}",
+                                                 collection=name)
+                         for key in PLANNER_KEYS}
+
+    @property
+    def planner_stats(self) -> Dict[str, int]:
+        """Read-only snapshot of this collection's planner counters."""
+        return {key: int(c.value) for key, c in self._planner.items()}
 
     # -- indexes ------------------------------------------------------------
 
@@ -239,13 +206,14 @@ class Collection:
         ids, plan = self._plan(filter)
         plan["docs_examined"] = len(ids)
         plan["docs_total"] = len(self._docs)
+        planner = self._planner
         if plan["path"] == "scan":
-            self.planner_stats["scans"] += 1
+            planner["scans"].inc()
         elif plan["index_kind"] == "range":
-            self.planner_stats["range_hits"] += 1
+            planner["range_hits"].inc()
         else:
-            self.planner_stats["index_hits"] += 1
-        self.planner_stats["docs_examined"] += len(ids)
+            planner["index_hits"].inc()
+        planner["docs_examined"].inc(len(ids))
         self.last_plan = plan
         usage = self.db.usage
         if usage is not None:
@@ -415,8 +383,7 @@ class DocumentDB:
 
     def planner_stats(self) -> dict:
         """Aggregated access-path counters across every collection."""
-        totals = {"index_hits": 0, "range_hits": 0, "scans": 0,
-                  "docs_examined": 0}
+        totals = dict.fromkeys(PLANNER_KEYS, 0)
         for coll in self._collections.values():
             for key, value in coll.planner_stats.items():
                 totals[key] += value

@@ -40,6 +40,7 @@ from typing import Any, List, Optional, Tuple
 
 from repro.docdb.aggregate import run_pipeline
 from repro.docdb.cursor import Cursor, _SortKey
+from repro.docdb.database import PLANNER_KEYS
 from repro.docdb.query import get_path
 from repro.errors import DocDbError
 
@@ -279,8 +280,7 @@ class ShardedCollection:
     @property
     def planner_stats(self) -> dict:
         """Planner counters summed across the physical shards."""
-        totals = {key: 0 for key in
-                  ("index_hits", "range_hits", "scans", "docs_examined")}
+        totals = dict.fromkeys(PLANNER_KEYS, 0)
         for shard in self.shards:
             for key, value in shard.planner_stats.items():
                 totals[key] += value

@@ -19,6 +19,7 @@ from typing import List, Optional
 from repro.container.container import ExecResult
 from repro.errors import TransientStorageError
 from repro.faults.plan import FaultPlan
+from repro.obs.events import EventType
 
 
 class FaultInjector:
@@ -87,13 +88,11 @@ class FaultInjector:
 
     def _fire(self, kind: str, **fields) -> None:
         self.injected += 1
-        monitor = self.system.monitor
-        monitor.incr("faults_injected")
-        monitor.incr(f"faults_{kind}")
-        monitor.log("fault_injected", kind=kind, **fields)
-        events = getattr(self.system, "events", None)
-        if events is not None:
-            events.emit("fault.injected", kind=kind, **fields)
+        counters = self.system.counters
+        counters.incr("faults_injected")
+        counters.incr(f"faults_{kind}")
+        self.system.events.emit(EventType.FAULT_INJECTED, kind=kind,
+                                **fields)
 
     @staticmethod
     def _in_window(window, now: float) -> bool:
@@ -120,7 +119,7 @@ class FaultInjector:
             yield self.sim.timeout(fault.restart_after)
             if not self._stopped:
                 replacement = self.system.add_worker()
-                self.system.monitor.log("fault_replacement_worker",
+                self.system.events.emit(EventType.FAULT_REPLACEMENT_WORKER,
                                         worker=replacement.id)
 
     def _pick_victim(self, fault, rng) -> Optional[object]:

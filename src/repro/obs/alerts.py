@@ -6,17 +6,15 @@ Two alert sources feed one manager:
   spec that is burning on both windows fires ``slo:<name>``; when the
   burn clears, the alert resolves and re-arms for the next incident.
 - **Heartbeat watchdogs** — components that should make regular
-  progress (the telemetry sampler, the metrics scraper) register a
-  heartbeat; when the last beat is older than ``grace`` the manager
-  fires ``stuck:<name>``, once per stall, resolving when beats resume.
+  progress (the metrics scraper's loop) register a heartbeat; when the
+  last beat is older than ``grace`` the manager fires ``stuck:<name>``,
+  once per stall, resolving when beats resume.
 
-The "once per incident" contract is the satellite fix for the old
-telemetry-sampler behaviour, where every ``health_report`` call
-re-printed the same stuck warning: an :class:`Alert` here transitions
-``firing → resolved`` exactly once per incident, the full history is
-retained for reports, and each transition is also recorded in the event
-log (``alert.fired`` / ``alert.resolved``) so alerts interleave with the
-faults and state changes that caused them.
+However often a stall is judged (every scrape, every ``health_report``),
+an :class:`Alert` transitions ``firing → resolved`` exactly once per
+incident, the full history is retained for reports, and each transition
+is also recorded in the event log (``alert.fired`` / ``alert.resolved``)
+so alerts interleave with the faults and state changes that caused them.
 """
 
 from __future__ import annotations
@@ -71,15 +69,18 @@ class Alert:
 class _Heartbeat:
     """One registered liveness watchdog."""
 
-    __slots__ = ("name", "last_beat", "grace", "severity", "summary")
+    __slots__ = ("name", "last_beat", "grace", "severity", "summary",
+                 "active")
 
     def __init__(self, name: str, last_beat: Callable[[], Optional[float]],
-                 grace: float, severity: str, summary: str):
+                 grace: float, severity: str, summary: str,
+                 active: Optional[Callable[[], bool]]):
         self.name = name
         self.last_beat = last_beat
         self.grace = grace
         self.severity = severity
         self.summary = summary
+        self.active = active
 
 
 class AlertManager:
@@ -150,19 +151,24 @@ class AlertManager:
     def watch_heartbeat(self, name: str,
                         last_beat: Callable[[], Optional[float]],
                         grace: float, severity: str = "warning",
-                        summary: Optional[str] = None) -> None:
+                        summary: Optional[str] = None,
+                        active: Optional[Callable[[], bool]] = None
+                        ) -> None:
         """Fire ``stuck:<name>`` when the beat is older than ``grace``.
 
         ``last_beat`` returns the sim time of the component's most
         recent sign of life, or None before its first beat (never-beat
         components only trip the watchdog once the run is older than
-        ``grace``, so construction order can't page).
+        ``grace``, so construction order can't page).  ``active``, when
+        given, says whether the component is meant to be running: while
+        it returns False (not started yet, or deliberately stopped) the
+        watchdog stays quiet and closes any open stall.
         """
         if grace <= 0:
             raise ValueError("grace must be positive")
         self._heartbeats.append(_Heartbeat(
             name, last_beat, grace, severity,
-            summary or f"{name} has stopped making progress"))
+            summary or f"{name} has stopped making progress", active))
 
     # -- evaluation ----------------------------------------------------------
 
@@ -193,8 +199,21 @@ class AlertManager:
                     )
                 else:
                     self.resolve(name, at=now)
+        return self.check_heartbeats(now)
+
+    def check_heartbeats(self, now: Optional[float] = None) -> List[Alert]:
+        """Judge only the heartbeat watchdogs; returns active alerts.
+
+        The liveness half of :meth:`check`, for callers (the operator
+        report) that must not re-judge SLOs on a stale sample.
+        """
+        if now is None:
+            now = self.clock()
         for hb in self._heartbeats:
             name = f"stuck:{hb.name}"
+            if hb.active is not None and not hb.active():
+                self.resolve(name, at=now)
+                continue
             last = hb.last_beat()
             stalled = ((last is None and now > hb.grace)
                        or (last is not None and now - last > hb.grace))

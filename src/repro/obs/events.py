@@ -33,11 +33,17 @@ class EventType:
     """
 
     JOB_STATE_CHANGE = "job.state_change"
+    JOB_DEADLINE_EXCEEDED = "job.deadline_exceeded"
+    JOB_DUPLICATE_SUPPRESSED = "job.duplicate_suppressed"
     WORKER_SLOT = "worker.slot"
     WORKER_CRASH = "worker.crash"
+    WORKER_MALFORMED_MESSAGE = "worker.malformed_message"
+    WORKER_TASK_DEAD_LETTERED = "worker.task_dead_lettered"
     BROKER_REDELIVER = "broker.redeliver"
     BROKER_DEAD_LETTER = "broker.dead_letter"
+    BROKER_DEAD_LETTER_DRAINED = "broker.dead_letter_drained"
     FAULT_INJECTED = "fault.injected"
+    FAULT_REPLACEMENT_WORKER = "fault.replacement_worker"
     POOL_HIT = "pool.hit"
     POOL_MISS = "pool.miss"
     POOL_EVICT = "pool.evict"

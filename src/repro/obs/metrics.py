@@ -1,19 +1,17 @@
 """A unified metrics registry: counters, gauges, histograms, labels.
 
-Before this module the repro's operational counters were islands —
-``Collection.planner_stats`` dicts, broker ``Counter`` objects, monitor
-counters — with no shared namespace, no labels, and no export path.  The
-registry is the single home: every series is ``(name, labels)``-keyed,
-snapshotable as JSON, and readable through thin legacy views
-(:class:`CounterGroup`, the planner-stats mapping) so existing accessors
-keep working unchanged.
+The registry is the single home for every count in a deployment: every
+series is ``(name, labels)``-keyed and snapshotable as JSON.  Components
+that tally a handful of named counts (the system, the broker, the object
+store) hold a :class:`CounterGroup` over it; the scraper
+(:mod:`repro.obs.scrape`) is the one loop that samples it over time.
 
 Three instrument kinds, Prometheus-shaped:
 
 - :class:`Counter` — monotonically increasing (``inc`` only);
 - :class:`Gauge` — settable up/down, optionally *callback-backed* so the
-  telemetry sampler and the operator report read live system state
-  (queue depth, in-flight messages) from one definition;
+  scraper and the operator report read live system state (queue depth,
+  in-flight messages) from one definition;
 - :class:`Histogram` — bucketed observations with count/sum/min/max and
   an interpolated percentile estimate (latency distributions).
 """
@@ -327,11 +325,12 @@ class MetricsRegistry:
 
 
 class CounterGroup:
-    """Legacy ``sim.monitor.Counter``-shaped view over a registry.
+    """A bundle of unlabelled counters named ``prefix + name``.
 
-    Components that historically owned a private ``Counter`` (the broker,
-    the system monitor) keep their ``incr``/``get``/``as_dict`` surface;
-    the data now lives in the shared registry under ``prefix + name``.
+    The counter surface of the system (``system.counters``), the broker
+    (``broker_``) and the object store (``objstore_``):
+    ``incr``/``get``/``as_dict`` by short name, with the data in the
+    shared registry.
     """
 
     __slots__ = ("registry", "prefix", "_cache")
@@ -356,6 +355,9 @@ class CounterGroup:
         counter._value += amount
 
     def get(self, name: str) -> float:
+        counter = self._cache.get(name)
+        if counter is not None:
+            return counter._value
         return self.registry.value(self.prefix + name)
 
     def as_dict(self) -> Dict[str, float]:

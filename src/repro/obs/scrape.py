@@ -13,6 +13,9 @@ ring-buffered, so a week-long simulated course holds a bounded history.
 The scrape loop is an opt-in perpetual process like the broker caretaker
 — ``RaiSystem.start_observability`` drives it — but :meth:`scrape_now`
 also works on demand (``rai slo`` takes a fresh snapshot per report).
+It is the deployment's one sampling loop: the operator report's windowed
+queue-depth and fleet averages read its retained gauge samples, and its
+heartbeat (:meth:`last_beat`) is the ``stuck:metrics-scraper`` watchdog.
 """
 
 from __future__ import annotations
@@ -85,8 +88,10 @@ class MetricsScraper:
         self._samples: Deque[MetricsSnapshot] = deque(maxlen=max_samples)
         self._stopped = False
         self.total_scrapes = 0
-        #: Sim time of the most recent scrape (heartbeat for watchdogs).
+        #: Sim time of the most recent scrape.
         self.last_scrape_at: Optional[float] = None
+        #: Sim time the periodic loop (:meth:`process`) started.
+        self.started_at: Optional[float] = None
 
     # -- capture ------------------------------------------------------------
 
@@ -103,9 +108,8 @@ class MetricsScraper:
                     tuple(metric.bucket_counts), metric.buckets)
             elif isinstance(metric, Gauge):
                 # Labelled callback gauges (per-worker utilisation) are
-                # skipped like the telemetry sampler skips them: they are
-                # fleet-sized, and the SLO layer reads deployment-level
-                # signals.
+                # skipped: they are fleet-sized, and the SLO layer and
+                # the operator report read deployment-level signals.
                 if metric.labels and metric.fn is not None:
                     continue
                 snap.gauges[key] = metric.value
@@ -117,6 +121,25 @@ class MetricsScraper:
     def stop(self) -> None:
         self._stopped = True
 
+    @property
+    def retention(self) -> float:
+        """Simulated seconds of history a full ring covers (one scrape
+        interval per retained sample)."""
+        return self.interval * self._samples.maxlen
+
+    @property
+    def running(self) -> bool:
+        """True while the periodic loop is started and not stopped —
+        the only state in which a missing heartbeat means a stall."""
+        return self.started_at is not None and not self._stopped
+
+    def last_beat(self) -> Optional[float]:
+        """The loop's latest sign of life: its last scrape, else its
+        start (a loop that never scraped is judged from when it began)."""
+        if self.last_scrape_at is not None:
+            return self.last_scrape_at
+        return self.started_at
+
     def process(self, sim, on_scrape: Optional[Callable] = None):
         """Kernel process: scrape every ``interval`` simulated seconds.
 
@@ -127,6 +150,7 @@ class MetricsScraper:
         wires the alert manager's check here so SLO burn rates are
         judged on every fresh sample.
         """
+        self.started_at = sim.now
         while not self._stopped:
             yield sim.timeout(self.interval)
             if self._stopped:

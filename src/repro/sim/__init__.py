@@ -32,7 +32,6 @@ from repro.sim.events import (
 from repro.sim.kernel import Simulator, Process, PRIORITY_URGENT, PRIORITY_NORMAL
 from repro.sim.resources import Resource, PriorityResource, Store, Container
 from repro.sim.random import RandomStreams
-from repro.sim.monitor import Monitor, TimeSeries, Tally, Counter
 from repro.errors import Interrupt, EmptySchedule, StopSimulation, SimulationError
 
 __all__ = [
@@ -51,10 +50,6 @@ __all__ = [
     "Store",
     "Container",
     "RandomStreams",
-    "Monitor",
-    "TimeSeries",
-    "Tally",
-    "Counter",
     "Interrupt",
     "EmptySchedule",
     "StopSimulation",

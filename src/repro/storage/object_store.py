@@ -10,7 +10,7 @@ from repro.errors import (
     NoSuchKey,
     PreconditionFailed,
 )
-from repro.sim.monitor import Counter
+from repro.obs.metrics import CounterGroup, MetricsRegistry
 from repro.storage.chunkstore import (
     DEFAULT_CHUNK_BYTES,
     ChunkedObject,
@@ -55,10 +55,15 @@ class ObjectStore:
     """
 
     def __init__(self, sim, secret: bytes = b"repro-object-store",
-                 chunk_size: int = DEFAULT_CHUNK_BYTES):
+                 chunk_size: int = DEFAULT_CHUNK_BYTES,
+                 metrics: Optional[MetricsRegistry] = None):
         self.sim = sim
         self.buckets: Dict[str, Bucket] = {}
-        self.counters = Counter()
+        #: Request and byte tallies, held in ``metrics`` (a private
+        #: registry when standalone) as ``objstore_<name>`` counters.
+        self.counters = CounterGroup(
+            metrics if metrics is not None else MetricsRegistry(),
+            prefix="objstore_")
         #: Content-addressed dedup backing for ``put_object(dedup=True)``.
         #: Shared across all buckets: identical chunks are held once.
         self.chunk_store = ChunkStore(chunk_size=chunk_size)

@@ -101,7 +101,7 @@ class CourseResult:
             "teams": len(self.teams),
             "submissions": len(self.submission_times),
             "uploaded_bytes": int(
-                self.system.monitor.counters.get("bytes_uploaded")),
+                self.system.counters.get("bytes_uploaded")),
             "file_server_bytes": storage.total_bytes,
             "file_server_objects": storage.total_objects,
             "log_metadata_bytes": db.estimated_size_bytes(),
@@ -251,8 +251,7 @@ class CourseSimulation:
         if not done.triggered:
             sim.run(until=done)
 
-        self.result.submission_times = list(
-            self.system.monitor.submission_times())
+        self.result.submission_times = list(self.system.submission_times)
         return self.result
 
     def cost_report(self) -> Optional[CostReport]:

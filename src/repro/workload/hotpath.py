@@ -186,7 +186,7 @@ def run_hotpath(scale: HotpathScale, seed: int = 408,
             round(resub_hits / resub_lookups, 4) if resub_lookups else None)
 
     chunk_stats = system.storage.chunk_store.stats()
-    counters = system.monitor.counters
+    counters = system.counters
     metrics = {
         "scale": {"name": scale.name, "n_students": scale.n_students,
                   "n_resubmissions": scale.n_resubmissions,

@@ -266,7 +266,7 @@ def run_sched(scale: SchedScale, seed: int = 408,
                                     for s in runtime_stats),
         },
         "prefetch_claims": int(
-            system.monitor.counters.get("worker_prefetch_claims")),
+            system.counters.get("worker_prefetch_claims")),
         "slot_utilization": {
             w.id: round(w.utilization(), 4) for w in system.workers},
         "wall_clock_s": round(time.perf_counter() - wall_start, 3),

@@ -75,14 +75,15 @@ class TestWritePathUsesIndex:
         assert len(jobs) == 19
 
     def test_indexed_write_touches_fraction_of_collection(self, jobs):
-        jobs.planner_stats["docs_examined"] = 0
+        before = jobs.planner_stats
         for i in range(20):
             jobs.update_one({"job_id": f"job-{i:03d}"},
                             {"$set": {"cost": 0.0}})
+        after = jobs.planner_stats
         # 20 indexed updates examine 20 docs total; the old scan path
         # examined 20 * 20 = 400.
-        assert jobs.planner_stats["docs_examined"] == 20
-        assert jobs.planner_stats["scans"] == 0
+        assert after["docs_examined"] - before["docs_examined"] == 20
+        assert after["scans"] - before["scans"] == 0
 
 
 class TestCandidateOrdering:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.system import RaiSystem
 from repro.errors import TransientStorageError
+from repro.obs.events import EventType
 from repro.faults import (
     BrokerFault,
     ContainerKillFault,
@@ -67,7 +68,7 @@ class TestStorageHook:
         # Puts are unaffected by a get-only fault.
         system.storage.put_object("b", "k2", b"x")
         assert injector.injected == 2
-        assert system.monitor.counters.get("faults_storage_get") == 2
+        assert system.counters.get("faults_storage_get") == 2
 
     def test_bucket_scoping(self):
         system = RaiSystem(seed=1)
@@ -115,7 +116,7 @@ class TestBrokerHook:
         assert system.queue_depth() == 0
         system.run(until=11.0)
         assert system.queue_depth() == 1
-        assert system.monitor.counters.get("faults_broker_delay") == 1
+        assert system.counters.get("faults_broker_delay") == 1
 
     def test_same_seed_same_drop_decisions(self):
         def decisions(seed):
@@ -139,11 +140,11 @@ class TestWorkerCrashProcess:
         assert not victim.is_running
         assert victim._crashed
         assert system.workers[1].is_running
-        events = system.monitor.events_of("fault_injected")
-        assert any(f["kind"] == "worker_crash" and f["worker"] == victim.id
-                   for _, f in events)
-        (t, _), = events
-        assert 5.0 <= t <= 10.0
+        events = system.events.query(type=EventType.FAULT_INJECTED)
+        assert any(e.fields["kind"] == "worker_crash"
+                   and e.fields["worker"] == victim.id for e in events)
+        (event,) = events
+        assert 5.0 <= event.time <= 10.0
 
     def test_restart_after_adds_replacement(self):
         system = RaiSystem.standard(num_workers=1, seed=5)
@@ -152,6 +153,9 @@ class TestWorkerCrashProcess:
         system.run(until=60.0)
         assert len(system.workers) == 2
         assert len(system.running_workers) == 1
+        (event,) = system.events.query(
+            type=EventType.FAULT_REPLACEMENT_WORKER)
+        assert event.fields["worker"] == system.workers[1].id
 
     def test_stop_mode_uses_graceful_path(self):
         system = RaiSystem.standard(num_workers=1, seed=5)

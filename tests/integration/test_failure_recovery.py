@@ -229,13 +229,15 @@ class TestChaosRecovery:
                 {"job_id": result.job_id}) == 1
         # The plan actually fired: one crash, and two injected fetch
         # failures per job (each retried with backoff).
-        counters = system.monitor.counters
+        counters = system.counters
         assert counters.get("faults_worker_crash") == 1
         assert counters.get("faults_storage_get") == 2 * 6
         assert counters.get("storage_retries") >= 2 * 6
         # The crash was recovered from (redelivery), not double-recorded.
         assert counters.get("duplicate_records_suppressed") == 0
+        assert not system.events.query(type="job.duplicate_suppressed")
         assert len(system.workers) == 3   # 2 original + 1 replacement
+        assert len(system.events.query(type="fault.replacement_worker")) == 1
 
     def test_same_seed_same_timeline(self):
         _, first = self._run_once(seed=777)
@@ -261,7 +263,7 @@ class TestStorageRetryRecovery:
         client.stage_project(FILES)
         result = system.run(client.submit())
         assert result.status is JobStatus.SUCCEEDED
-        assert system.monitor.counters.get("storage_retries") == 2
+        assert system.counters.get("storage_retries") == 2
         assert "retry 1/3" in result.stderr_text()
         # Backoff slept in simulated time before the job proceeded.
         assert result.finished_at > result.queued_at
@@ -279,7 +281,7 @@ class TestStorageRetryRecovery:
         # The build ran and the artifact upload eventually succeeded.
         assert result.status is JobStatus.SUCCEEDED
         assert result.build_url is not None
-        assert system.monitor.counters.get("storage_retries") == 2
+        assert system.counters.get("storage_retries") == 2
 
     def test_retry_budget_exhaustion_fails_terminally(self):
         from repro.faults import FaultPlan, StorageFault
@@ -307,11 +309,19 @@ class TestDeadLetterPath:
         # 5 zero-time redeliveries exhausted the attempt budget.
         assert system.broker.dead_letter_count() == 1
         assert system.queue_depth() == 0
-        counters = system.monitor.counters
+        counters = system.counters
         assert counters.get("malformed_job_messages") == 1
         assert counters.get("task_messages_dead_lettered") == 1
+        # The audit trail: one parse error per delivery attempt, then
+        # the dead-lettering.
+        assert len(system.events.query(type="worker.malformed_message")) == 5
+        (parked,) = system.events.query(type="worker.task_dead_lettered")
+        assert parked.fields["attempts"] == 5
 
         assert system.drain_dead_letters() == 1
+        (drained,) = system.events.query(type="broker.dead_letter_drained")
+        assert drained.fields["message_id"] == parked.fields["message_id"]
+        assert drained.fields["attempts"] == 5
         assert system.broker.dead_letter_count() == 0
         doc = system.db.collection("submissions").find_one(
             {"status": "dead_lettered"})
@@ -377,7 +387,7 @@ class TestClientWaitTimeout:
         assert "timed out after 300s" in result.error
         assert result.finished_at == pytest.approx(
             result.queued_at + 300.0)
-        assert system.monitor.counters.get("client_wait_timeouts") == 1
+        assert system.counters.get("client_wait_timeouts") == 1
         # The log subscription was released: nothing pins the ephemeral
         # topic once the worker-side producer is gone too.
         assert f"log_{result.job_id}" not in system.broker.topics
@@ -400,7 +410,7 @@ class TestClientWaitTimeout:
         client.stage_project(FILES)
         result = system.run(client.submit(wait_timeout=4 * 3600.0))
         assert result.status is JobStatus.SUCCEEDED
-        assert system.monitor.counters.get("client_wait_timeouts") == 0
+        assert system.counters.get("client_wait_timeouts") == 0
 
 
 class TestPublishFailureCleanup:
@@ -412,7 +422,7 @@ class TestPublishFailureCleanup:
         result = system.run(client.submit())
         assert result.status is JobStatus.REJECTED
         assert "rejected by the broker" in result.error
-        assert system.monitor.counters.get("client_publish_rejected") == 1
+        assert system.counters.get("client_publish_rejected") == 1
         # Regression: the pre-subscribed log consumer must not pin the
         # ephemeral log topic forever.
         leaked = [name for name in system.broker.topics
@@ -433,7 +443,9 @@ class TestJobDeadline:
         assert result.status is JobStatus.FAILED
         assert result.exit_code == 124
         assert "deadline" in result.stderr_text()
-        assert system.monitor.counters.get("jobs_deadline_exceeded") == 1
+        assert system.counters.get("jobs_deadline_exceeded") == 1
+        (event,) = system.events.query(type="job.deadline_exceeded")
+        assert event.job_id == result.job_id
         submissions = system.db.collection("submissions")
         assert submissions.count_documents(
             {"job_id": result.job_id, "status": "failed"}) == 1

@@ -4,7 +4,7 @@ The point of distributed tracing is precisely the run that went wrong,
 so these tests exercise the ugly paths: a worker crash mid-job with
 broker redelivery (the trace must stitch both attempts together), ring
 eviction while a job is still running (its trace must survive), and a
-telemetry sampler that stops heartbeating (the operator report must say
+metrics scrape loop that stops heartbeating (the operator report must say
 so).
 """
 
@@ -13,7 +13,7 @@ import pytest
 from repro.core.config import SystemConfig
 from repro.core.job import JobStatus
 from repro.core.system import RaiSystem
-from repro.core.telemetry import TelemetrySampler, health_report
+from repro.core.telemetry import health_report
 from repro.obs.span import SpanStatus
 
 pytestmark = [pytest.mark.obs, pytest.mark.chaos]
@@ -146,12 +146,15 @@ class TestRingEvictionInSystem:
 
 
 class TestStuckSamplerAlert:
+    STUCK = "stuck:metrics-scraper"
+
     def test_stalled_sampler_flags_in_report(self):
-        system = RaiSystem.standard(num_workers=1, seed=3)
-        sampler = TelemetrySampler(system, interval=10.0)
-        # Prime the generator so the sampler is "started" — but never
+        system = RaiSystem.standard(
+            num_workers=1, seed=3,
+            config=SystemConfig(scrape_interval_seconds=10.0))
+        # Prime the loop so the scraper is "started" — but never
         # schedule it on the kernel, simulating a wedged process.
-        gen = sampler.run()
+        gen = system.scraper.process(system.sim)
         next(gen)
 
         def advance(sim):
@@ -159,30 +162,32 @@ class TestStuckSamplerAlert:
 
         system.sim.process(advance(system.sim))
         system.run(until=50.0)
-        assert sampler.is_stuck()
-        report = health_report(system, sampler)
-        assert "stuck" in report
-        assert "ALERT" in report
+        assert system.scraper.running
+        report = health_report(system)
+        assert f"ALERT {self.STUCK}" in report
+        assert system.alerts.is_firing(self.STUCK)
 
     def test_healthy_sampler_not_flagged(self):
         system = RaiSystem.standard(num_workers=1, seed=3)
-        sampler = TelemetrySampler(system, interval=10.0)
-        system.sim.process(sampler.run())
+        system.start_observability()
         _submit_one(system, "healthy")
-        assert not sampler.is_stuck()
-        report = health_report(system, sampler)
+        report = health_report(system)
         assert "stuck" not in report
+        assert not system.alerts.incidents(self.STUCK)
 
     def test_stopped_sampler_not_stuck(self):
         system = RaiSystem.standard(num_workers=1, seed=3)
-        sampler = TelemetrySampler(system, interval=10.0)
-        system.sim.process(sampler.run())
+        system.start_observability()
         _submit_one(system, "stopping")
-        sampler.stop()
+        system.scraper.stop()
 
         def advance(sim):
             yield sim.timeout(500.0)
 
         system.sim.process(advance(system.sim))
         system.run(until=system.sim.now + 500.0)
-        assert not sampler.is_stuck()
+        # A deliberate stop is not a stall, whoever judges it.
+        system.alerts.check()
+        assert not system.alerts.is_firing(self.STUCK)
+        assert "stuck" not in health_report(system)
+        assert not system.alerts.incidents(self.STUCK)

@@ -233,8 +233,8 @@ class TestEventsThroughTheStack:
         injected = system.events.query(type=EventType.FAULT_INJECTED)
         assert injected
         assert injected[0].fields["kind"] == "worker_crash"
-        # Legacy monitor log preserved alongside.
-        assert system.monitor.events_of("fault_injected")
+        # The injector's counters sit beside the event in the registry.
+        assert system.counters.get("faults_injected") == len(injected)
 
     def test_disabled_event_log_changes_no_timeline(self):
         quiet = SystemConfig(event_log_enabled=False)

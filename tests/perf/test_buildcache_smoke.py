@@ -6,8 +6,6 @@ cache disabled — and must be *invisible* in results: the grading digest
 of a whole course is byte-identical with the cache on and off.
 """
 
-import time
-
 import pytest
 
 from repro.core.config import SystemConfig
@@ -17,6 +15,7 @@ from repro.workload.hotpath import (
     grading_digest,
     run_hotpath,
 )
+from tests.perf.overhead import cpu_seconds, overhead_ratio
 
 pytestmark = [pytest.mark.perf, pytest.mark.buildcache]
 
@@ -36,38 +35,13 @@ def _run(cache_enabled: bool) -> dict:
     return run_hotpath(FIRST_BUILD_SCALE, config=config)
 
 
-def _cpu_seconds(cache_enabled: bool) -> float:
-    start = time.process_time()
-    _run(cache_enabled)
-    return time.process_time() - start
-
-
-def _overhead_ratio() -> float:
+def test_first_build_overhead_under_five_percent():
     # CPU time, not wall clock: the workload is sub-second, and wall
     # clock picks up scheduler noise that dwarfs a 5% effect.  Eight
-    # interleaved pairs, judged by whichever of two fair estimators is
-    # smaller — ratio of sums (averages slow machine drift) and ratio
-    # of minimums (quiet-window cost) — since on a loaded box either
-    # one alone can be unlucky by more than the whole 5% budget.
-    samples = [(_cpu_seconds(True), _cpu_seconds(False))
-               for _ in range(8)]
-    sum_on = sum(s for s, _ in samples)
-    sum_off = sum(s for _, s in samples)
-    min_on = min(s for s, _ in samples)
-    min_off = min(s for _, s in samples)
-    if sum_off <= 0 or min_off <= 0:
-        return 1.0
-    return min(sum_on / sum_off, min_on / min_off)
-
-
-def test_first_build_overhead_under_five_percent():
-    # One warmup pair absorbs allocator/bytecode cold start.  A true
-    # regression fails both attempts; a one-off noise spike does not.
-    _cpu_seconds(True)
-    _cpu_seconds(False)
-    ratio = _overhead_ratio()
-    if ratio >= 1.05:
-        ratio = min(ratio, _overhead_ratio())
+    # pairs, not four, for the same reason.
+    ratio = overhead_ratio(cpu_seconds(lambda: _run(True)),
+                           cpu_seconds(lambda: _run(False)),
+                           bound=1.05, pairs=8)
     assert ratio < 1.05, (
         f"build-cache first-build overhead {100 * (ratio - 1):.1f}% "
         "exceeds 5% budget")

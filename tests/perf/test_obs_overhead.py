@@ -10,6 +10,7 @@ import pytest
 
 from repro.core.config import SystemConfig
 from repro.workload.hotpath import SMOKE_SCALE, run_hotpath
+from tests.perf.overhead import overhead_ratio
 
 pytestmark = pytest.mark.perf
 
@@ -28,28 +29,9 @@ def test_tracing_does_not_perturb_simulation():
     assert on == off
 
 
-def _overhead_ratio() -> float:
-    # Interleaved pairs, judged by whichever of two fair estimators is
-    # smaller — ratio of sums (averages slow machine drift) and ratio
-    # of minimums (quiet-window cost) — since on a loaded box either
-    # one alone can be unlucky by more than the whole budget.
-    samples = [(_run(tracing=True)["wall_clock_s"],
-                _run(tracing=False)["wall_clock_s"])
-               for _ in range(4)]
-    sum_on = sum(s for s, _ in samples)
-    sum_off = sum(s for _, s in samples)
-    min_on = min(s for s, _ in samples)
-    min_off = min(s for _, s in samples)
-    if sum_off <= 0 or min_off <= 0:
-        return 1.0
-    return min(sum_on / sum_off, min_on / min_off)
-
-
 def test_tracing_overhead_under_ten_percent():
-    # A true regression fails both attempts; a one-off noise spike
-    # does not.
-    ratio = _overhead_ratio()
-    if ratio >= 1.10:
-        ratio = min(ratio, _overhead_ratio())
+    ratio = overhead_ratio(lambda: _run(tracing=True)["wall_clock_s"],
+                           lambda: _run(tracing=False)["wall_clock_s"],
+                           bound=1.10)
     assert ratio < 1.10, (
         f"tracing overhead {100 * (ratio - 1):.1f}% exceeds 10% budget")

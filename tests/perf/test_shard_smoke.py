@@ -11,6 +11,7 @@ import pytest
 from repro.core.config import SystemConfig
 from repro.workload.hotpath import SMOKE_SCALE, run_hotpath
 from repro.workload.shardbench import GOLDEN_DIGEST, control_plane_digest
+from tests.perf.overhead import overhead_ratio
 
 pytestmark = [pytest.mark.perf, pytest.mark.shard]
 
@@ -28,30 +29,11 @@ def test_default_config_reproduces_the_golden_digest():
     assert digest == GOLDEN_DIGEST
 
 
-def _overhead_ratio() -> float:
-    # Interleaved pairs, judged by whichever of two fair estimators is
-    # smaller — ratio of sums (averages slow machine drift) and ratio
-    # of minimums (quiet-window cost) — since on a loaded box either
-    # one alone can be unlucky by more than the whole 5% budget.
-    samples = [
-        (run_hotpath(SMOKE_SCALE,
-                     config=SystemConfig(shards=1))["wall_clock_s"],
-         run_hotpath(SMOKE_SCALE)["wall_clock_s"])
-        for _ in range(4)]
-    sum_on = sum(s for s, _ in samples)
-    sum_off = sum(s for _, s in samples)
-    min_on = min(s for s, _ in samples)
-    min_off = min(s for _, s in samples)
-    if sum_off <= 0 or min_off <= 0:
-        return 1.0
-    return min(sum_on / sum_off, min_on / min_off)
-
-
 def test_shards_one_wall_clock_overhead_under_five_percent():
-    # A true regression fails both attempts; a one-off noise spike
-    # does not.
-    ratio = _overhead_ratio()
-    if ratio >= 1.05:
-        ratio = min(ratio, _overhead_ratio())
+    ratio = overhead_ratio(
+        lambda: run_hotpath(SMOKE_SCALE,
+                            config=SystemConfig(shards=1))["wall_clock_s"],
+        lambda: run_hotpath(SMOKE_SCALE)["wall_clock_s"],
+        bound=1.05)
     assert ratio < 1.05, (
         f"shards=1 overhead {100 * (ratio - 1):.1f}% exceeds 5% budget")

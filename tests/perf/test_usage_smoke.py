@@ -4,12 +4,11 @@ disabled.  Metering is on by default, so this is the cost every
 deployment pays — the meter must stay a handful of dict adds per job.
 """
 
-import time
-
 import pytest
 
 from repro.core.config import SystemConfig
 from repro.workload.hotpath import DEFAULT_SCALES, run_hotpath
+from tests.perf.overhead import cpu_seconds, overhead_ratio
 
 pytestmark = [pytest.mark.perf, pytest.mark.usage]
 
@@ -19,39 +18,17 @@ pytestmark = [pytest.mark.perf, pytest.mark.usage]
 MEDIUM_SCALE = next(s for s in DEFAULT_SCALES if s.name == "medium")
 
 
-def _cpu_seconds(metering_enabled: bool) -> float:
+def _run(metering_enabled: bool) -> None:
     config = SystemConfig()
     config.usage_metering_enabled = metering_enabled
-    start = time.process_time()
     run_hotpath(MEDIUM_SCALE, config=config)
-    return time.process_time() - start
-
-
-def _overhead_ratio() -> float:
-    # Same protocol as the build-cache smoke: CPU time not wall clock,
-    # interleaved pairs, judged by whichever of two fair estimators is
-    # smaller — ratio of sums (averages slow machine drift) and ratio
-    # of minimums (quiet-window cost) — since on a loaded box either
-    # one alone can be unlucky by more than the whole 5% budget.
-    samples = [(_cpu_seconds(True), _cpu_seconds(False))
-               for _ in range(4)]
-    sum_on = sum(s for s, _ in samples)
-    sum_off = sum(s for _, s in samples)
-    min_on = min(s for s, _ in samples)
-    min_off = min(s for _, s in samples)
-    if sum_off <= 0 or min_off <= 0:
-        return 1.0
-    return min(sum_on / sum_off, min_on / min_off)
 
 
 def test_metering_overhead_under_five_percent():
-    # One warmup pair absorbs allocator/bytecode cold start.  A true
-    # regression fails both attempts; a one-off noise spike does not.
-    _cpu_seconds(True)
-    _cpu_seconds(False)
-    ratio = _overhead_ratio()
-    if ratio >= 1.05:
-        ratio = min(ratio, _overhead_ratio())
+    # CPU time, not wall clock, as in the build-cache smoke.
+    ratio = overhead_ratio(cpu_seconds(lambda: _run(True)),
+                           cpu_seconds(lambda: _run(False)),
+                           bound=1.05)
     assert ratio < 1.05, (
         f"usage metering overhead {100 * (ratio - 1):.1f}% exceeds "
         "5% budget")

@@ -179,6 +179,11 @@ class TestIndexesAcrossShards:
         before = sharded.planner_stats["index_hits"]
         sharded.find({"team": TEAMS[3]}).to_list()
         assert sharded.planner_stats["index_hits"] == before + 1
+        # The facade sums the shards' collection-labelled counters.
+        metrics = sharded.shards[0].db.metrics
+        assert sharded.planner_stats["index_hits"] == sum(
+            metrics.value("planner_index_hits", collection=shard.name)
+            for shard in sharded.shards)
 
 
 class TestGoldenWrites:

@@ -1,91 +1,36 @@
-"""Unit tests for measurement instruments."""
+"""Measuring a simulation: sim-clock samples, counts and distributions.
 
-import math
+A simulation records its measurements in a
+:class:`~repro.obs.metrics.MetricsRegistry` and samples it over
+simulated time with a :class:`~repro.obs.scrape.MetricsScraper`.
+"""
 
-import pytest
-
-from repro.sim import Monitor, Simulator, Tally, TimeSeries
-
-
-class TestTimeSeries:
-    def test_record_and_length(self):
-        ts = TimeSeries("q")
-        ts.record(0, 1)
-        ts.record(1, 2)
-        assert len(ts) == 2
-
-    def test_time_must_not_decrease(self):
-        ts = TimeSeries("q")
-        ts.record(5, 1)
-        with pytest.raises(ValueError):
-            ts.record(4, 1)
-
-    def test_time_average_step_function(self):
-        ts = TimeSeries("q")
-        ts.record(0, 0)    # 0 for 10s
-        ts.record(10, 10)  # 10 for 10s
-        ts.record(20, 0)
-        assert ts.time_average() == pytest.approx(5.0)
-
-    def test_time_average_empty_is_nan(self):
-        assert math.isnan(TimeSeries("q").time_average())
-
-    def test_maximum(self):
-        ts = TimeSeries("q")
-        for t, v in [(0, 3), (1, 7), (2, 5)]:
-            ts.record(t, v)
-        assert ts.maximum() == 7
-
-
-class TestTally:
-    def test_welford_matches_closed_form(self):
-        t = Tally("lat")
-        values = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]
-        for v in values:
-            t.observe(v)
-        assert t.mean == pytest.approx(5.0)
-        assert t.std == pytest.approx(2.138, abs=1e-3)
-        assert t.min == 2.0 and t.max == 9.0
-
-    def test_percentiles(self):
-        t = Tally("lat")
-        for v in range(101):
-            t.observe(v)
-        assert t.percentile(50) == pytest.approx(50.0)
-        assert t.percentile(95) == pytest.approx(95.0)
-
-    def test_no_samples_mode(self):
-        t = Tally("lat", keep_samples=False)
-        t.observe(1.0)
-        with pytest.raises(ValueError):
-            t.percentile(50)
-
-    def test_summary_keys(self):
-        t = Tally("lat")
-        t.observe(1.0)
-        summary = t.summary()
-        assert {"name", "count", "mean", "std", "min", "max"} <= set(summary)
+from repro.obs.metrics import CounterGroup, MetricsRegistry
+from repro.obs.scrape import MetricsScraper
+from repro.sim import Simulator
 
 
 class TestMonitor:
     def test_record_uses_sim_clock(self):
         sim = Simulator()
-        mon = Monitor(sim)
+        registry = MetricsRegistry()
+        scraper = MetricsScraper(registry, clock=lambda: sim.now)
         sim.timeout(5)
         sim.run()
-        mon.record("depth", 3)
-        assert mon.timeseries("depth").times == [5.0]
+        registry.gauge("depth").set(3)
+        scraper.scrape_now()
+        assert scraper.gauge_samples("depth", sim.now, 60.0) == [(5.0, 3.0)]
 
     def test_counters(self):
-        mon = Monitor(Simulator())
-        mon.incr("jobs")
-        mon.incr("jobs", 2)
-        assert mon.counters.get("jobs") == 3
-        assert mon.counters.get("missing") == 0
+        counters = CounterGroup(MetricsRegistry())
+        counters.incr("jobs")
+        counters.incr("jobs", 2)
+        assert counters.get("jobs") == 3
+        assert counters.get("missing") == 0
 
     def test_tally_namespacing(self):
-        mon = Monitor(Simulator())
-        mon.observe("a", 1)
-        mon.observe("b", 2)
-        assert mon.tally("a").count == 1
-        assert mon.tally("b").mean == 2
+        registry = MetricsRegistry()
+        registry.histogram("a").observe(1)
+        registry.histogram("b").observe(2)
+        assert registry.histogram("a").count == 1
+        assert registry.histogram("b").value == 2
