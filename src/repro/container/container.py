@@ -114,6 +114,7 @@ class ExecContext:
             raise ValueError("cannot charge negative time")
         dilation = self.container.time_dilation
         if dilation is not None:
+            self.container.dilation_draws += 1
             seconds = seconds * float(dilation())
         self._charged += seconds
         self.container._charge_lifetime(seconds)
@@ -187,6 +188,8 @@ class Container:
         #: Optional zero-arg callable returning a runtime multiplier;
         #: workers wire this to their contention-noise model.
         self.time_dilation: Optional[Callable[[], float]] = None
+        #: ``time_dilation`` calls so far (the build cache's replay count).
+        self.dilation_draws = 0
         self.workdir = "/build"
         self.env = {
             "HOME": "/root",

@@ -3,8 +3,9 @@
 1. check the project directory and find ``rai-build.yml`` (falling back to
    the Listing 1 default);
 2. verify the user credentials from ``.rai.profile``;
-3. compress the project into a ``.tar.bz2`` and upload it to the file
-   server (with a delete-after-last-use lifetime);
+3. pack the project into a tar and upload the chunks the file server
+   lacks (the paper's ``.tar.bz2``, deduplicated; delete-after-last-use
+   lifetime);
 4. create a job request and push it onto the queue;
 5. subscribe to the ``log_${job_id}`` topic;
 6. print worker messages until ``End`` arrives;
@@ -148,86 +149,71 @@ class RaiClient:
         except RateLimited as exc:
             return reject(exc)
 
-        # Step 3 — pack and upload the project.  With dedup enabled the
-        # archive is a plain tar chunked by content: the client computes
-        # the delta against its previously uploaded manifest (plus a
-        # store-side negotiation for chunks other uploads already hold)
-        # and transfers only unseen chunks and the manifest itself.
-        dedup = self.system.config.dedup_uploads
-        file_digests = None
-        if dedup:
-            archive = pack_tree(self.project_fs, "/", compression="none")
-            file_digests = {
-                path: file_digest(self.project_fs.read_file(path))
-                for path in self.project_fs.iter_files("/")}
-            manifest = Manifest.from_bytes(
-                archive, self.system.storage.chunk_store.chunk_size,
-                files=file_digests)
-            # A chunk-size reconfiguration shifts every boundary: a base
-            # chunked at the old size would yield a bogus delta, so it is
-            # stale by definition.
-            if (self._last_manifest is not None
-                    and self._last_manifest.chunk_size
-                    != manifest.chunk_size):
-                self._last_manifest = None
-            # The base the delta is encoded against: this client's last
-            # upload when it has one, else whatever the server still
-            # holds for this user (git-style negotiation — a fresh client
-            # instance or a post-restore session still ships a delta).
-            base = self._last_manifest
-            base_kind = "local"
-            if base is None:
-                base = self.system.storage.negotiate_base(
-                    self.system.config.upload_bucket, self.username)
-                base_kind = "negotiated" if base is not None else "none"
-            if base is not None and base.chunk_size != manifest.chunk_size:
-                base, base_kind = None, "none"
-            # Chunks the delta says changed since the base; the store
-            # negotiation then prunes those some *other* upload already
-            # holds (and re-adds any the server has since expired) — the
-            # negotiation is ground truth for the wire.
-            delta = manifest.delta(base)
-            self.system.counters.incr("client_delta_chunks", len(delta))
-            wire_bytes = (
-                self.system.storage.chunk_store.missing_bytes(manifest)
-                + manifest.delta_wire_size(base))
-        else:
-            archive = pack_tree(self.project_fs, "/")
-            manifest = None
-            wire_bytes = len(archive)
+        # Step 3 — pack and upload the project.  The archive is a plain
+        # tar chunked by content: the client computes the delta against
+        # its previously uploaded manifest (plus a store-side negotiation
+        # for chunks other uploads already hold) and transfers only
+        # unseen chunks and the manifest itself.
+        archive = pack_tree(self.project_fs, "/", compression="none")
+        file_digests = {
+            path: file_digest(self.project_fs.read_file(path))
+            for path in self.project_fs.iter_files("/")}
+        manifest = Manifest.from_bytes(
+            archive, self.system.storage.chunk_store.chunk_size,
+            files=file_digests)
+        # A chunk-size reconfiguration shifts every boundary: a base
+        # chunked at the old size would yield a bogus delta, so it is
+        # stale by definition.
+        if (self._last_manifest is not None
+                and self._last_manifest.chunk_size != manifest.chunk_size):
+            self._last_manifest = None
+        # The base the delta is encoded against: this client's last upload
+        # when it has one, else whatever the server still holds for this
+        # user (git-style negotiation — a fresh client instance or a
+        # post-restore session still ships a delta).
+        base = self._last_manifest
+        base_kind = "local"
+        if base is None:
+            base = self.system.storage.negotiate_base(
+                self.system.config.upload_bucket, self.username)
+            base_kind = "negotiated" if base is not None else "none"
+        if base is not None and base.chunk_size != manifest.chunk_size:
+            base, base_kind = None, "none"
+        # Chunks the delta says changed since the base; the store
+        # negotiation then prunes those some *other* upload already holds
+        # (and re-adds any the server has since expired) — the negotiation
+        # is ground truth for the wire.
+        delta = manifest.delta(base)
+        self.system.counters.incr("client_delta_chunks", len(delta))
+        wire_bytes = (self.system.storage.chunk_store.missing_bytes(manifest)
+                      + manifest.delta_wire_size(base))
         full_bytes = len(archive) + self.project_padding_bytes
         upload_bytes = wire_bytes + self.project_padding_bytes
         upload_seconds = upload_bytes / self.system.config.client_bandwidth_bps
         upload_span = tracer.start_span(
             "client.upload", parent=span, kind="client",
-            attributes={"bytes": upload_bytes, "bytes_full": full_bytes,
-                        "dedup": dedup})
-        if dedup:
-            upload_span.add_event("chunk.negotiation",
-                                  delta_chunks=len(delta),
-                                  wire_bytes=wire_bytes,
-                                  base=base_kind)
+            attributes={"bytes": upload_bytes, "bytes_full": full_bytes})
+        upload_span.add_event("chunk.negotiation", delta_chunks=len(delta),
+                              wire_bytes=wire_bytes, base=base_kind)
         yield self.sim.timeout(upload_seconds)
         job_id = new_job_id()
         result.job_id = job_id
         # Binds the whole trace to the job id in the trace store.
         span.set_attribute("job_id", job_id)
-        suffix = "tar" if dedup else "tar.bz2"
-        upload_key = f"{self.username}/{job_id}.{suffix}"
+        upload_key = f"{self.username}/{job_id}.tar"
         try:
             self.system.storage.put_object(
                 self.system.config.upload_bucket, upload_key, archive,
                 metadata={"username": self.username, "team": self.team or "",
                           "kind": kind.value, "job_id": job_id},
-                padding_bytes=self.project_padding_bytes, dedup=dedup,
+                padding_bytes=self.project_padding_bytes, dedup=True,
                 file_digests=file_digests)
         except StorageError as exc:
             self.system.counters.incr("client_upload_failures")
             upload_span.end(status="error", message=str(exc))
             return reject(SubmissionRejected(f"project upload failed: {exc}"))
         upload_span.end()
-        if dedup:
-            self._last_manifest = manifest
+        self._last_manifest = manifest
         result.upload_bytes = upload_bytes
         result.upload_bytes_full = full_bytes
         self.system.counters.incr("bytes_uploaded", upload_bytes)
@@ -256,7 +242,7 @@ class RaiClient:
             access_key=self.profile.access_key,
             signature="",
             submitted_at=self.sim.now,
-            source_digest=manifest.tree_digest() if manifest else None,
+            source_digest=manifest.tree_digest(),
         )
         body = job.to_message()
         body.pop("signature")
@@ -365,7 +351,7 @@ class RaiClient:
                 tracer.end_subtree(span)
             # Queue→End latency, bucketed for the operator report; the
             # trace id pins an exemplar so a slow bucket names its job.
-            self.system.metrics.histogram("job_turnaround_seconds").observe(
+            self.system.histograms["job_turnaround_seconds"].observe(
                 (result.finished_at or self.sim.now) - job.submitted_at,
                 trace_id=span.trace_id, at=self.sim.now)
             events = getattr(self.system, "events", None)

@@ -104,12 +104,8 @@ class SystemConfig:
     client_wait_timeout_seconds: Optional[float] = None
     #: Sweep interval of the system dead-letter consumer (opt-in process).
     dead_letter_sweep_seconds: float = 300.0
-    #: Content-addressed dedup of project uploads (git-style: the client
-    #: chunks the archive, negotiates against its previous manifest, and
-    #: transfers only unseen chunks).  Disable to reproduce the seed's
-    #: full re-upload per submission.
-    dedup_uploads: bool = True
-    #: Fixed chunk size of the content-addressed store.
+    #: Fixed chunk size of the content-addressed store that project
+    #: uploads dedup through (the client ships only unseen chunks).
     chunk_size_bytes: int = 4096
     #: End-to-end distributed tracing (``repro.obs``).  Spans are passive
     #: — they never schedule simulator events — so disabling changes only

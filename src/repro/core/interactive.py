@@ -36,6 +36,8 @@ from repro.errors import (
     RaiError,
     RateLimited,
     SignatureMismatch,
+    StorageError,
+    VfsError,
 )
 from repro.vfs import VirtualFileSystem, pack_tree, unpack_tree
 
@@ -171,7 +173,8 @@ class InteractiveSession:
                 return self.transcript
             if payload["type"] in ("rejected", "end"):
                 self.transcript.status = "rejected"
-                self.transcript.error = payload.get("error", "rejected")
+                self.transcript.error = (payload.get("error")
+                                         or payload.get("reason", "rejected"))
                 self._teardown()
                 return self.transcript
 
@@ -306,7 +309,7 @@ def _serve_one(worker, request: dict):
                 unpack_tree(archive.data, project_fs, "/")
                 mounts.insert(0, VolumeMount("/src", read_only=True,
                                              source_fs=project_fs))
-            except Exception as exc:
+            except (StorageError, VfsError) as exc:
                 publish("rejected", error=f"cannot fetch project: {exc}")
                 return
 
@@ -375,6 +378,9 @@ def _serve_one(worker, request: dict):
                     break
         finally:
             inbox.close()
+    except Interrupt:   # worker stop or crash, not the student leaving
+        reason = "worker-stopped"
+        raise
     finally:
         if container is not None:
             worker.runtime.destroy_container(container)

@@ -26,7 +26,7 @@ from repro.core.worker import RaiWorker
 from repro.docdb.database import DocumentDB
 from repro.obs.alerts import AlertManager
 from repro.obs.events import EventLog, EventType
-from repro.obs.metrics import CounterGroup, MetricsRegistry
+from repro.obs.metrics import CounterGroup, MetricHandles, MetricsRegistry
 from repro.obs.scrape import MetricsScraper
 from repro.obs.slo import SloEngine, SloSpec, default_slos
 from repro.obs.usage import CostAllocator, UsageMeter
@@ -56,6 +56,8 @@ class RaiSystem:
         #: Deployment-level tallies (``jobs_submitted``, ``storage_retries``
         #: ...), unprefixed in :attr:`metrics`.
         self.counters = CounterGroup(self.metrics)
+        #: Unlabelled histograms by name, bound on first observation.
+        self.histograms = MetricHandles(self.metrics.histogram)
         #: Sim time of every accepted submission (Figure 4's histogram).
         self.submission_times: List[float] = []
         #: The deployment tracer; one submission = one trace spanning

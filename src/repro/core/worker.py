@@ -43,6 +43,7 @@ from repro.errors import (
 )
 from repro.gpu.device import get_device
 from repro.obs.events import EventType
+from repro.obs.metrics import MetricHandles
 from repro.storage.buildcache import image_cache_key
 from repro.storage.chunkstore import digest_file_map
 from repro.vfs import VirtualFileSystem, file_digest, pack_tree, unpack_tree
@@ -78,12 +79,10 @@ class RaiWorker:
             ttl_seconds=self.config.warm_pool_ttl_seconds,
             create_seconds=self.config.container_create_seconds,
             reset_seconds=self.config.container_reset_seconds,
-            events=getattr(system, "events", None),
+            events=system.events,
             owner=self.id,
-            usage=getattr(system, "usage", None),
+            usage=system.usage,
         )
-        #: The deployment event log (None for bare test harnesses).
-        self.events = getattr(system, "events", None)
         self._rng = system.rng.stream(f"worker:{self.id}")
         # Backoff jitter draws from its own stream so retries never perturb
         # the timing-noise sequence of a fault-free run with the same seed.
@@ -107,6 +106,13 @@ class RaiWorker:
         #: annotate and close them — the interrupted generators never
         #: reach their own finally blocks' span bookkeeping in time.
         self._active_spans: List = []
+        # Per-job series, bound on first use per label value.
+        self._acquire_seconds = MetricHandles(
+            lambda outcome: system.metrics.histogram(
+                "container_acquire_seconds", outcome=outcome))
+        self._jobs_finished = MetricHandles(
+            lambda status: system.metrics.counter("jobs_finished",
+                                                  status=status))
         self.active_jobs = 0
         self.jobs_completed = 0
         self.jobs_failed = 0
@@ -131,8 +137,7 @@ class RaiWorker:
             self._executors.append(proc)
 
     def _emit(self, type: str, span=None, **fields) -> None:
-        if self.events is not None:
-            self.events.emit(type, span=span, worker=self.id, **fields)
+        self.system.events.emit(type, span=span, worker=self.id, **fields)
 
     def _spawn_slot(self) -> int:
         slot = next(self._slot_counter)
@@ -237,12 +242,11 @@ class RaiWorker:
         Partition-homed workers on a sharded deployment get a
         :class:`~repro.shard.steal.StealingConsumer` (home-channel
         claims with pull-steal fallback); everything else — unsharded
-        systems, bare test harnesses, custom-pinned routes — gets a
-        plain :class:`~repro.broker.client.Consumer`, unchanged.
+        systems, custom-pinned routes — gets a plain
+        :class:`~repro.broker.client.Consumer`.
         """
-        shards = getattr(self.system, "shards", None)
-        if shards is not None and self.partition is not None:
-            return shards.consumer(self.partition)
+        if self.system.shards is not None and self.partition is not None:
+            return self.system.shards.consumer(self.partition)
         return Consumer(self.system.broker, self.config.task_route)
 
     def _executor_loop(self, slot: int):
@@ -312,6 +316,8 @@ class RaiWorker:
                 consumer.requeue(evt.value))
 
     # -- job processing ------------------------------------------------------
+    # Stages share one _JobRun; one that ends the job early sets run.status
+    # and returns None.  Every exit leaves through _finish.
 
     def _process_job(self, message):
         try:
@@ -328,399 +334,334 @@ class RaiWorker:
                        message_id=message.id, attempts=message.attempts,
                        error=f"{type(exc).__name__}: {exc}")
             return False
-        deadline = (self.sim.now + self.config.job_deadline_seconds
-                    if self.config.job_deadline_seconds is not None else None)
-        proc_start = self.sim.now
-        pool_hit: Optional[bool] = None
-        # Per-job usage accounting, folded into ONE meter call in the
-        # finally block (metering must stay off the per-command path).
-        # Attribution rides the job document, so a redelivered or
-        # cross-shard-stolen job still bills its originating team.
-        usage = getattr(self.system, "usage", None)
-        usage_exec_seconds = 0.0
-        usage_saved_seconds = 0.0
-        usage_fetch_bytes = 0
-        usage_upload_bytes = 0
         self.active_jobs += 1
-        tracer = self.system.tracer
         # Parent on the message headers: the broker.deliver span the
         # channel minted on claim (or the client's publish span if this
         # message never carried delivery tracing).
-        wspan = tracer.start_span(
+        span = self.system.tracer.start_span(
             "worker.job", parent=message.headers, kind="worker",
             attributes={"worker": self.id, "attempt": message.attempts},
             job_id=job.id)
-        self._active_spans.append(wspan)
-        producer = Producer(self.system.broker, f"log_{job.id}")
-        outputs: List[tuple] = []
-
-        def publish(kind: str, _headers=None, **payload) -> None:
-            producer.publish({"type": kind, "t": self.sim.now,
-                              "worker": self.id, **payload},
-                             headers=_headers)
-
-        def publish_log(stream: str, text: str) -> None:
-            outputs.append((stream, text))
-            publish("log", stream=stream, text=text)
-
-        status = JobStatus.FAILED
-        exit_code: Optional[int] = None
-        build_url = None
+        self._active_spans.append(span)
+        run = _JobRun(self, job, message.attempts, span)
+        settled = False     # stays False on a crash or unexpected unwind
         try:
-            publish("status", status="accepted")
-            self._emit("job.state_change", span=wspan, job_id=job.id,
+            run.publish("status", status="accepted")
+            self._emit("job.state_change", span=span, job_id=job.id,
                        team=job.team, status="accepted",
                        attempt=message.attempts)
-
-            # Step 2 — credentials and spec.
-            try:
-                with tracer.start_span("buildspec.parse", parent=wspan,
-                                       kind="worker"):
-                    credential = self._verify(job)
-                    spec = parse_build_spec(job.spec_yaml)
-                    spec.validate(
-                        image_whitelist=self.system.registry.whitelist
-                        or None)
-            except (InvalidCredentials, SignatureMismatch,
-                    BuildSpecError, ContainerError) as exc:
-                publish_log("stderr", f"✗ job rejected: {exc}\n")
-                status = JobStatus.REJECTED
-                return
-
-            # Step 4 — fetch and unpack the project.  Transient storage
-            # errors are retried with backoff; permanent ones (NoSuchKey
-            # after lifecycle expiry etc.) reject immediately.
-            get_span = tracer.start_span(
-                "storage.get", parent=wspan, kind="storage",
-                attributes={"bucket": job.upload_bucket,
-                            "key": job.upload_key})
-            try:
-                archive = yield from self._storage_call(
-                    "project fetch",
-                    lambda: self.system.storage.get_object(
-                        job.upload_bucket, job.upload_key),
-                    deadline, publish_log, span=get_span)
-            except TransientStorageError as exc:
-                publish_log("stderr",
-                            f"✗ cannot fetch project after retries: {exc}\n")
-                get_span.end(status="error", message=str(exc))
-                status = JobStatus.FAILED
-                self._record(job, status, exit_code, outputs, build_url,
-                             attempts=message.attempts, span=wspan,
-                             service_seconds=self.sim.now - proc_start)
-                return
-            except StorageError as exc:  # NoSuchKey etc.
-                publish_log("stderr", f"✗ cannot fetch project: {exc}\n")
-                get_span.end(status="error", message=str(exc))
-                status = JobStatus.REJECTED
-                return
-            transfer_bytes = self._fetch_transfer_bytes(archive)
-            usage_fetch_bytes = transfer_bytes
-            get_span.set_attribute("transfer_bytes", transfer_bytes)
-            get_span.set_attribute("object_bytes", archive.size)
-            yield self.sim.timeout(
-                transfer_bytes / self.config.storage_bandwidth_bps)
-            get_span.end()
-            self._check_deadline(deadline)
-            project_fs = VirtualFileSystem(clock=lambda: self.sim.now)
-            unpack_tree(archive.data, project_fs, "/")
-            source_digest = self._source_digest(archive, project_fs)
-
-            # Step 3 — container (pull missing image layers on a cache
-            # miss, then acquire warm from the pool or create cold).
-            pull_cost = self.runtime.pull_cost_seconds(spec.image)
-            if pull_cost > 0:
-                publish_log("stdout", f"Pulling image {spec.image} ...\n")
-                wspan.add_event("image.pull", image=spec.image,
-                                seconds=pull_cost)
-                self.system.counters.incr(
-                    "image_bytes_pulled",
-                    int(pull_cost * self.config.pull_bandwidth_bps))
-                yield self.sim.timeout(pull_cost)
-                self._check_deadline(deadline)
-            container, pool_hit, acquire_cost = self.pool.acquire(
-                spec.image,
-                limits=self.config.limits,
-                mounts=[
-                    VolumeMount("/src", read_only=True,
-                                source_fs=project_fs),
-                    cuda_volume(),
-                ],
-                gpu_device=self.gpu,
-                on_output=publish_log,
-                usage_key=job.team or job.username,
-            )
-            # Step 5 — run the build commands.
-            try:
-                if acquire_cost > 0:
-                    yield self.sim.timeout(acquire_cost)
-                wspan.add_event("container.acquire", pool_hit=pool_hit,
-                                seconds=acquire_cost,
-                                container=container.id,
-                                generation=container.generation)
-                self.system.metrics.histogram(
-                    "container_acquire_seconds",
-                    outcome="warm" if pool_hit else "cold",
-                ).observe(acquire_cost)
-                self._check_deadline(deadline)
-                # Contention noise flows into the container's measured
-                # times: alone on a worker it is ~solo_jitter; with
-                # co-running jobs it grows — the single-job-mode
-                # ablation's mechanism.
-                container.time_dilation = self._timing_noise
-                container.start()
-                publish("status", status="running", container=container.id)
-                self._emit("job.state_change", span=wspan, job_id=job.id,
-                           team=job.team, status="running",
-                           container=container.id)
-                run_span = tracer.start_span(
-                    "container.run", parent=wspan, kind="container",
-                    attributes={"image": spec.image,
-                                "container": container.id})
-                build_cache = self.system.build_cache
-                cache_image_key = None
-                if build_cache is not None and spec.cache_enabled:
-                    cache_image_key = image_cache_key(
-                        self.runtime.registry.get(spec.image))
-                exit_code = 0
-                for command in spec.build_commands:
-                    self._check_deadline(deadline)
-                    publish("command", command=command)
-                    exec_span = tracer.start_span(
-                        "container.exec", parent=run_span, kind="container",
-                        attributes={"command": command})
-                    cacheable = (cache_image_key is not None
-                                 and command_cacheable(command))
-                    entry = None
-                    if cacheable:
-                        entry = build_cache.lookup(
-                            cache_image_key, container.workdir, command,
-                            container.fs, job_id=job.id)
-                    if entry is not None:
-                        # Cache hit: replay the recorded artifact tree,
-                        # streams, and exit code instead of executing.
-                        # Burn the timing-noise draws the real execution
-                        # would have taken, so every downstream RNG
-                        # consumer sees the exact same sequence and run
-                        # output stays byte-identical cache on or off.
-                        for _ in range(entry.rng_draws):
-                            self._timing_noise()
-                        artifact_bytes = build_cache.apply(
-                            entry, container.fs)
-                        replay_seconds = (
-                            self.system.config.buildcache_replay_seconds
-                            + artifact_bytes
-                            / self.config.storage_bandwidth_bps)
-                        exec_span.set_attribute("cache", "hit")
-                        exec_span.add_event(
-                            "buildcache.replay", key=entry.key[:16],
-                            artifact_bytes=artifact_bytes,
-                            saved_seconds=round(
-                                entry.charged_seconds - replay_seconds, 6))
-                        usage_exec_seconds += replay_seconds
-                        usage_saved_seconds += max(
-                            0.0, entry.charged_seconds - replay_seconds)
-                        yield self.sim.timeout(replay_seconds)
-                        if entry.stdout:
-                            publish_log("stdout", entry.stdout)
-                        if entry.stderr:
-                            publish_log("stderr", entry.stderr)
-                        exec_span.set_attribute("exit_code",
-                                                entry.exit_code)
-                        if entry.exit_code != 0:
-                            publish_log(
-                                "stderr",
-                                f"✗ command exited with status "
-                                f"{entry.exit_code}\n")
-                            exec_span.end(
-                                status="error",
-                                message=f"exit {entry.exit_code}")
-                            exit_code = entry.exit_code
-                            break
-                        exec_span.end()
-                        continue
-                    if cacheable:
-                        # Record what the command observes (reads, stat
-                        # probes, tree walks) and writes, plus how many
-                        # timing-noise draws it consumes.
-                        trace = container.fs.start_tracking()
-                        draws = [0]
-
-                        def counted_noise(_draws=draws):
-                            _draws[0] += 1
-                            return self._timing_noise()
-
-                        container.time_dilation = counted_noise
-                    try:
-                        result = container.exec_line(command)
-                    finally:
-                        if cacheable:
-                            if container.fs is not None:
-                                container.fs.stop_tracking()
-                            container.time_dilation = self._timing_noise
-                    # sim_duration already includes contention dilation
-                    # (applied at charge time inside the container).
-                    usage_exec_seconds += result.sim_duration
-                    yield self.sim.timeout(result.sim_duration)
-                    exec_span.set_attribute("exit_code", result.exit_code)
-                    if result.error is not None:
-                        publish_log("stderr", f"✗ {result.error}\n")
-                        exec_span.add_event("error", error=result.error)
-                        exec_span.end(status="error", message=result.error)
-                        exit_code = result.exit_code
-                        break
-                    if cacheable:
-                        # Publish only after the execution's sim time has
-                        # fully elapsed: an interrupt (crash) inside the
-                        # timeout above unwinds this generator before the
-                        # entry exists, so no partial artifact can ever
-                        # be observed.  Non-zero exits are cached too —
-                        # a deterministic compile error replays as
-                        # cheaply as a success.
-                        build_cache.capture(
-                            cache_image_key, container.workdir, command,
-                            trace, container.fs,
-                            result.stdout, result.stderr,
-                            result.exit_code, result.sim_duration,
-                            draws[0], source_digest=source_digest,
-                            job_id=job.id)
-                        exec_span.set_attribute("cache", "miss")
-                    if result.exit_code != 0:
-                        publish_log(
-                            "stderr",
-                            f"✗ command exited with status "
-                            f"{result.exit_code}\n")
-                        exec_span.end(
-                            status="error",
-                            message=f"exit {result.exit_code}")
-                        exit_code = result.exit_code
-                        break
-                    exec_span.end()
-                status = (JobStatus.SUCCEEDED if exit_code == 0
-                          else JobStatus.FAILED)
-                run_span.set_attribute("exit_code", exit_code)
-                run_span.end(status=None if exit_code == 0 else "error")
-
-                # Step 6 — archive /build and upload it.
-                if container.fs is not None and container.fs.isdir("/build"):
-                    blob = pack_tree(container.fs, "/build")
-                    key = f"{job.id}/build.tar.bz2"
-                    put_span = tracer.start_span(
-                        "storage.put", parent=wspan, kind="storage",
-                        attributes={
-                            "bucket": self.system.config.build_bucket,
-                            "key": key, "bytes": len(blob)})
-                    yield self.sim.timeout(
-                        len(blob) / self.config.storage_bandwidth_bps)
-                    try:
-                        yield from self._storage_call(
-                            "build upload",
-                            lambda: self.system.storage.put_object(
-                                self.system.config.build_bucket, key, blob,
-                                metadata={
-                                    "job_id": job.id,
-                                    "username": job.username,
-                                    "team": job.team or "",
-                                    "kind": job.kind.value,
-                                }),
-                            deadline, publish_log, span=put_span)
-                    except TransientStorageError as exc:
-                        # Degrade rather than fail the whole job: the build
-                        # ran; only its artifact is lost.
-                        publish_log(
-                            "stderr",
-                            f"⚠ build upload failed after retries: {exc}\n")
-                        put_span.end(status="error", message=str(exc))
-                        self.system.counters.incr("build_upload_failures")
-                    else:
-                        put_span.end()
-                        usage_upload_bytes = len(blob)
-                        build_url = self.system.storage.presign_get(
-                            self.system.config.build_bucket, key,
-                            expires_in=self.system.config
-                            .presign_expiry_seconds)
-                        publish("build", url=build_url, key=key,
-                                bucket=self.system.config.build_bucket,
-                                size=len(blob))
-            finally:
-                self.pool.release(container)
-
-            # Record the submission and, for finals, the ranking.
-            self._record(job, status, exit_code, outputs, build_url,
-                         attempts=message.attempts, span=wspan,
-                         service_seconds=self.sim.now - proc_start,
-                         pool_hit=pool_hit)
+            spec = self._parse(run)
+            if spec is not None:
+                project_fs = yield from self._fetch(run)
+                if project_fs is not None:
+                    yield from self._build(run, spec, project_fs)
+            settled = True
         except JobDeadlineExceeded as exc:
             # The paper's 1-hour cap, applied wall-clock: kill whatever is
-            # left (the container was destroyed on the way out) and report
+            # left (the container was released on the way out) and report
             # a terminal failure so the executor slot frees up.
-            publish_log("stderr", f"✗ {exc}\n")
-            status = JobStatus.FAILED
-            exit_code = 124
+            run.log("stderr", f"✗ {exc}\n")
+            run.status, run.exit_code = JobStatus.FAILED, 124
             self.system.counters.incr("jobs_deadline_exceeded")
-            self._emit(EventType.JOB_DEADLINE_EXCEEDED, span=wspan,
+            self._emit(EventType.JOB_DEADLINE_EXCEEDED, span=span,
                        job_id=job.id, team=job.team)
-            wspan.add_event("deadline_exceeded",
-                            deadline_s=self.config.job_deadline_seconds)
-            self._record(job, status, exit_code, outputs, build_url,
-                         attempts=message.attempts, span=wspan,
-                         service_seconds=self.sim.now - proc_start,
-                         pool_hit=pool_hit)
+            span.add_event("deadline_exceeded",
+                           deadline_s=self.config.job_deadline_seconds)
+            settled = True
         except Interrupt:
             if not self._crashed:
-                publish_log("stderr", "✗ worker shutting down mid-job\n")
-                status = JobStatus.FAILED
-                self._record(job, status, exit_code, outputs, build_url,
-                             attempts=message.attempts, span=wspan,
-                             service_seconds=self.sim.now - proc_start,
-                             pool_hit=pool_hit)
+                run.log("stderr", "✗ worker shutting down mid-job\n")
+                run.status = JobStatus.FAILED
+                settled = True
             raise
         finally:
-            if status is JobStatus.SUCCEEDED:
-                self.jobs_completed += 1
-            else:
-                self.jobs_failed += 1
-            if not self._crashed:
-                # A crashed worker's job is not *finished* — the broker
-                # redelivers it, and that attempt reports the outcome.
-                # Only real terminations feed the success-ratio SLO.
-                # Same rule for the usage meter: the redelivery attempt
-                # (which re-runs the work) is the one that bills.
-                if usage is not None:
-                    usage.record_job(
-                        job.team or job.username, job_id=job.id,
-                        trace_id=wspan.trace_id,
-                        container_seconds=usage_exec_seconds,
-                        gpu_seconds=(usage_exec_seconds
-                                     if self.gpu is not None else 0.0),
-                        slot_seconds=self.sim.now - proc_start,
-                        bytes_downloaded=usage_fetch_bytes,
-                        bytes_uploaded=usage_upload_bytes,
-                        build_seconds_saved=usage_saved_seconds)
-                self.system.metrics.counter(
-                    "jobs_finished", status=status.value).inc()
-                self._emit("job.state_change", span=wspan, job_id=job.id,
-                           team=job.team, status=status.value,
-                           exit_code=exit_code, worker_final=True)
-                # A crashed worker cannot publish; its client keeps
-                # waiting until redelivery produces a real End.  The End
-                # message carries the publish span's context so the
-                # client-side delivery joins the trace.
-                end_span = tracer.start_span(
-                    "result.publish", parent=wspan, kind="worker",
-                    attributes={"status": status.value})
-                publish("end", status=status.value, exit_code=exit_code,
-                        _headers=end_span.headers())
-                end_span.end()
-            wspan.set_attribute("status", status.value)
-            # Safety net: ends whatever children an exceptional unwind
-            # (deadline, interrupt) left open, then the job span itself.
-            # A crash already ended the subtree with an error status.
-            tracer.end_subtree(wspan)
-            if wspan in self._active_spans:
-                self._active_spans.remove(wspan)
-            producer.close()
-            self.active_jobs -= 1
+            self._finish(run, settled)
+
+    def _parse(self, run: "_JobRun"):
+        """Step 2 — credentials and build spec; None rejects the job."""
+        try:
+            with self.system.tracer.start_span("buildspec.parse",
+                                               parent=run.span,
+                                               kind="worker"):
+                self._verify(run.job)
+                spec = parse_build_spec(run.job.spec_yaml)
+                spec.validate(
+                    image_whitelist=self.system.registry.whitelist or None)
+        except (InvalidCredentials, SignatureMismatch,
+                BuildSpecError, ContainerError) as exc:
+            run.log("stderr", f"✗ job rejected: {exc}\n")
+            run.status = JobStatus.REJECTED
+            return None
+        return spec
+
+    def _fetch(self, run: "_JobRun"):
+        """Step 4 — fetch and unpack the project; None ends the job:
+        failed once transient errors exhaust their retries, rejected on a
+        permanent one (NoSuchKey after lifecycle expiry etc.)."""
+        job = run.job
+        get_span = self.system.tracer.start_span(
+            "storage.get", parent=run.span, kind="storage",
+            attributes={"bucket": job.upload_bucket, "key": job.upload_key})
+        try:
+            archive = yield from self._storage_call(
+                run, "project fetch",
+                lambda: self.system.storage.get_object(
+                    job.upload_bucket, job.upload_key),
+                span=get_span)
+        except StorageError as exc:
+            transient = isinstance(exc, TransientStorageError)
+            run.log("stderr", "✗ cannot fetch project"
+                    f"{' after retries' if transient else ''}: {exc}\n")
+            get_span.end(status="error", message=str(exc))
+            run.status = (JobStatus.FAILED if transient
+                          else JobStatus.REJECTED)
+            return None
+        transfer_bytes = self._fetch_transfer_bytes(archive)
+        run.fetch_bytes = transfer_bytes
+        get_span.set_attribute("transfer_bytes", transfer_bytes)
+        get_span.set_attribute("object_bytes", archive.size)
+        yield self.sim.timeout(
+            transfer_bytes / self.config.storage_bandwidth_bps)
+        get_span.end()
+        self._check_deadline(run.deadline)
+        project_fs = VirtualFileSystem(clock=lambda: self.sim.now)
+        unpack_tree(archive.data, project_fs, "/")
+        run.source_digest = self._source_digest(archive, project_fs)
+        return project_fs
+
+    def _build(self, run: "_JobRun", spec, project_fs):
+        """Steps 3, 5 and 6 — container, build commands, artifact upload."""
+        job = run.job
+        # Pull missing image layers on a cache miss, then acquire warm
+        # from the pool or create cold.
+        pull_cost = self.runtime.pull_cost_seconds(spec.image)
+        if pull_cost > 0:
+            run.log("stdout", f"Pulling image {spec.image} ...\n")
+            run.span.add_event("image.pull", image=spec.image,
+                               seconds=pull_cost)
+            self.system.counters.incr(
+                "image_bytes_pulled",
+                int(pull_cost * self.config.pull_bandwidth_bps))
+            yield self.sim.timeout(pull_cost)
+            self._check_deadline(run.deadline)
+        container, run.pool_hit, acquire_cost = self.pool.acquire(
+            spec.image,
+            limits=self.config.limits,
+            mounts=[VolumeMount("/src", read_only=True, source_fs=project_fs),
+                    cuda_volume()],
+            gpu_device=self.gpu,
+            on_output=run.log,
+            usage_key=job.team or job.username,
+        )
+        try:
+            if acquire_cost > 0:
+                yield self.sim.timeout(acquire_cost)
+            run.span.add_event("container.acquire", pool_hit=run.pool_hit,
+                               seconds=acquire_cost, container=container.id,
+                               generation=container.generation)
+            self._acquire_seconds[
+                "warm" if run.pool_hit else "cold"].observe(acquire_cost)
+            self._check_deadline(run.deadline)
+            # Contention noise flows into the container's measured times:
+            # alone on a worker it is ~solo_jitter; with co-running jobs
+            # it grows — the single-job-mode ablation's mechanism.
+            container.time_dilation = self._timing_noise
+            container.start()
+            run.publish("status", status="running", container=container.id)
+            self._emit("job.state_change", span=run.span, job_id=job.id,
+                       team=job.team, status="running",
+                       container=container.id)
+            run_span = self.system.tracer.start_span(
+                "container.run", parent=run.span, kind="container",
+                attributes={"image": spec.image, "container": container.id})
+            cache_key = None
+            if self.system.build_cache is not None and spec.cache_enabled:
+                cache_key = image_cache_key(
+                    self.runtime.registry.get(spec.image))
+            run.exit_code = 0
+            for command in spec.build_commands:
+                run.exit_code = yield from self._run_command(
+                    run, container, command, run_span, cache_key)
+                if run.exit_code != 0:
+                    break
+            run.status = (JobStatus.SUCCEEDED if run.exit_code == 0
+                          else JobStatus.FAILED)
+            run_span.set_attribute("exit_code", run.exit_code)
+            run_span.end(status=None if run.exit_code == 0 else "error")
+            if container.fs is not None and container.fs.isdir("/build"):
+                yield from self._upload(run, container)
+        finally:
+            self.pool.release(container)
+
+    def _run_command(self, run: "_JobRun", container, command: str,
+                     run_span, cache_key: Optional[str]):
+        """Step 5 for one command: replay it from the build cache or run
+        it.  Returns its exit code."""
+        self._check_deadline(run.deadline)
+        run.publish("command", command=command)
+        exec_span = self.system.tracer.start_span(
+            "container.exec", parent=run_span, kind="container",
+            attributes={"command": command})
+        build_cache = self.system.build_cache
+        cacheable = cache_key is not None and command_cacheable(command)
+        entry = None
+        if cacheable:
+            entry = build_cache.lookup(cache_key, container.workdir,
+                                       command, container.fs,
+                                       job_id=run.job.id)
+        if entry is not None:
+            # Cache hit: replay the recorded artifact tree, streams, and
+            # exit code instead of executing.  Burn the timing-noise draws
+            # the real execution would have taken, so every downstream RNG
+            # consumer sees the exact same sequence and run output stays
+            # byte-identical cache on or off.
+            for _ in range(entry.rng_draws):
+                self._timing_noise()
+            artifact_bytes = build_cache.apply(entry, container.fs)
+            replay_seconds = (self.system.config.buildcache_replay_seconds
+                              + artifact_bytes
+                              / self.config.storage_bandwidth_bps)
+            exec_span.set_attribute("cache", "hit")
+            exec_span.add_event(
+                "buildcache.replay", key=entry.key[:16],
+                artifact_bytes=artifact_bytes,
+                saved_seconds=round(entry.charged_seconds - replay_seconds,
+                                    6))
+            run.exec_seconds += replay_seconds
+            run.saved_seconds += max(0.0,
+                                     entry.charged_seconds - replay_seconds)
+            yield self.sim.timeout(replay_seconds)
+            if entry.stdout:
+                run.log("stdout", entry.stdout)
+            if entry.stderr:
+                run.log("stderr", entry.stderr)
+            exit_code = entry.exit_code
+            exec_span.set_attribute("exit_code", exit_code)
+        else:
+            if cacheable:
+                # Record what the command observes (reads, stat probes,
+                # tree walks) and writes; the container counts the
+                # timing-noise draws it consumes.
+                trace = container.fs.start_tracking()
+                draws_before = container.dilation_draws
+            try:
+                result = container.exec_line(command)
+            finally:
+                if cacheable and container.fs is not None:
+                    container.fs.stop_tracking()
+            # sim_duration already includes contention dilation (applied
+            # at charge time inside the container).
+            run.exec_seconds += result.sim_duration
+            yield self.sim.timeout(result.sim_duration)
+            exit_code = result.exit_code
+            exec_span.set_attribute("exit_code", exit_code)
+            if result.error is not None:
+                run.log("stderr", f"✗ {result.error}\n")
+                exec_span.add_event("error", error=result.error)
+                exec_span.end(status="error", message=result.error)
+                return exit_code
+            if cacheable:
+                # Publish only after the execution's sim time has fully
+                # elapsed: an interrupt (crash) inside the timeout above
+                # unwinds this generator before the entry exists, so no
+                # partial artifact can ever be observed.  Non-zero exits
+                # are cached too — a deterministic compile error replays
+                # as cheaply as a success.
+                build_cache.capture(
+                    cache_key, container.workdir, command, trace,
+                    container.fs, result.stdout, result.stderr, exit_code,
+                    result.sim_duration,
+                    container.dilation_draws - draws_before,
+                    source_digest=run.source_digest, job_id=run.job.id)
+                exec_span.set_attribute("cache", "miss")
+        if exit_code != 0:
+            run.log("stderr", f"✗ command exited with status {exit_code}\n")
+            exec_span.end(status="error", message=f"exit {exit_code}")
+        else:
+            exec_span.end()
+        return exit_code
+
+    def _upload(self, run: "_JobRun", container):
+        """Step 6 — archive /build, upload it, and announce its URL."""
+        config = self.system.config
+        blob = pack_tree(container.fs, "/build")
+        key = f"{run.job.id}/build.tar.bz2"
+        put_span = self.system.tracer.start_span(
+            "storage.put", parent=run.span, kind="storage",
+            attributes={"bucket": config.build_bucket, "key": key,
+                        "bytes": len(blob)})
+        yield self.sim.timeout(len(blob) / self.config.storage_bandwidth_bps)
+        try:
+            yield from self._storage_call(
+                run, "build upload",
+                lambda: self.system.storage.put_object(
+                    config.build_bucket, key, blob,
+                    metadata={"job_id": run.job.id,
+                              "username": run.job.username,
+                              "team": run.job.team or "",
+                              "kind": run.job.kind.value}),
+                span=put_span)
+        except TransientStorageError as exc:
+            # Degrade rather than fail the whole job: the build ran; only
+            # its artifact is lost.
+            run.log("stderr", f"⚠ build upload failed after retries: {exc}\n")
+            put_span.end(status="error", message=str(exc))
+            self.system.counters.incr("build_upload_failures")
+            return
+        put_span.end()
+        run.upload_bytes = len(blob)
+        run.build_url = self.system.storage.presign_get(
+            config.build_bucket, key,
+            expires_in=config.presign_expiry_seconds)
+        run.publish("build", url=run.build_url, key=key,
+                    bucket=config.build_bucket, size=len(blob))
+
+    def _finish(self, run: "_JobRun", settled: bool) -> None:
+        """The one terminal path: record, bill, count, publish End, close."""
+        job, span = run.job, run.span
+        if settled and run.status is not JobStatus.REJECTED:
+            # Record the submission and, for finals, the ranking.
+            self._record(run)
+        if run.status is JobStatus.SUCCEEDED:
+            self.jobs_completed += 1
+        else:
+            self.jobs_failed += 1
+        if not self._crashed:
+            # A crashed worker's job is not *finished*: the redelivered
+            # attempt (which re-runs the work) reports, counts toward the
+            # success-ratio SLO, and bills — its originating team, since
+            # attribution rides the job document.
+            self.system.usage.record_job(
+                job.team or job.username, job_id=job.id,
+                trace_id=span.trace_id,
+                container_seconds=run.exec_seconds,
+                gpu_seconds=(run.exec_seconds
+                             if self.gpu is not None else 0.0),
+                slot_seconds=self.sim.now - run.started,
+                bytes_downloaded=run.fetch_bytes,
+                bytes_uploaded=run.upload_bytes,
+                build_seconds_saved=run.saved_seconds)
+            self._jobs_finished[run.status.value].inc()
+            self._emit("job.state_change", span=span, job_id=job.id,
+                       team=job.team, status=run.status.value,
+                       exit_code=run.exit_code, worker_final=True)
+            # The End message carries the publish span's context so the
+            # client-side delivery joins the trace.
+            end_span = self.system.tracer.start_span(
+                "result.publish", parent=span, kind="worker",
+                attributes={"status": run.status.value})
+            run.publish("end", status=run.status.value,
+                        exit_code=run.exit_code, _headers=end_span.headers())
+            end_span.end()
+        span.set_attribute("status", run.status.value)
+        # Safety net: ends whatever children an exceptional unwind
+        # (deadline, interrupt) left open, then the job span itself.  A
+        # crash already ended the subtree with an error status.
+        self.system.tracer.end_subtree(span)
+        if span in self._active_spans:
+            self._active_spans.remove(span)
+        run.producer.close()
+        self.active_jobs -= 1
 
     # -- helpers ------------------------------------------------------------
 
@@ -796,27 +737,23 @@ class RaiWorker:
                 f"job exceeded its "
                 f"{self.config.job_deadline_seconds:.0f}s deadline")
 
-    def _storage_call(self, label: str, fn, deadline, publish_log,
-                      span=None):
+    def _storage_call(self, run: "_JobRun", label: str, fn, span):
         """Run a storage operation under the worker's retry policy.
 
         Generator (``yield from`` it): backoff sleeps happen in simulated
         time.  Only :class:`TransientStorageError` is retried; permanent
         errors and the final transient failure propagate unaltered.
-        ``span`` (if given) gets a ``retry`` event per attempt.
+        ``span`` gets a ``retry`` event per attempt.
         """
         policy = self.config.storage_retry
 
         def on_retry(attempt, exc):
-            self._check_deadline(deadline)
+            self._check_deadline(run.deadline)
             self.system.counters.incr("storage_retries")
-            if span is not None:
-                span.add_event("retry", attempt=attempt,
-                               error=f"{type(exc).__name__}: {exc}")
-            publish_log(
-                "stderr",
-                f"⚠ {label} failed ({exc}); "
-                f"retry {attempt}/{policy.max_attempts - 1}\n")
+            span.add_event("retry", attempt=attempt,
+                           error=f"{type(exc).__name__}: {exc}")
+            run.log("stderr", f"⚠ {label} failed ({exc}); "
+                    f"retry {attempt}/{policy.max_attempts - 1}\n")
 
         return (yield from policy.call(
             self.sim, fn, rng=self._retry_rng,
@@ -840,87 +777,118 @@ class RaiWorker:
             float(self._rng.random())
         return base + contention
 
-    def _record(self, job: Job, status: JobStatus, exit_code,
-                outputs: List[tuple], build_url, attempts: int = 1,
-                span=None, service_seconds: Optional[float] = None,
-                pool_hit: Optional[bool] = None) -> bool:
+    def _record(self, run: "_JobRun") -> None:
         # At-least-once delivery means a job can be processed twice (e.g.
         # a premature stale-sweep redelivered it while the original worker
         # was still alive).  Recording is made effectively-once: whichever
         # delivery records first wins; later ones are suppressed so the
         # submissions collection and the ranking never double-count.
-        # Returns True when this call actually recorded.
+        job = run.job
         record_span = self.system.tracer.start_span(
-            "docdb.record", parent=span, kind="docdb",
-            attributes={"collection": "submissions"}) if span is not None \
-            else None
+            "docdb.record", parent=run.span, kind="docdb",
+            attributes={"collection": "submissions"})
         submissions = self.system.db.collection("submissions")
         if submissions.find_one({"job_id": job.id}) is not None:
             self.system.counters.incr("duplicate_records_suppressed")
-            self._emit(EventType.JOB_DUPLICATE_SUPPRESSED, span=span,
-                       job_id=job.id, team=job.team, attempts=attempts)
-            if record_span is not None:
-                record_span.set_attribute("duplicate", True)
-                record_span.end()
-            return False
-        stdout = "".join(t for s, t in outputs if s == "stdout")
-        stderr = "".join(t for s, t in outputs if s == "stderr")
+            self._emit(EventType.JOB_DUPLICATE_SUPPRESSED, span=run.span,
+                       job_id=job.id, team=job.team, attempts=run.attempts)
+            record_span.set_attribute("duplicate", True)
+            record_span.end()
+            return
+        stdout = "".join(t for s, t in run.outputs if s == "stdout")
+        stderr = "".join(t for s, t in run.outputs if s == "stderr")
         elapsed = _ELAPSED_RE.findall(stdout)
         correctness = _CORRECTNESS_RE.findall(stdout)
+        correctness = float(correctness[-1]) if correctness else None
         time_match = _TIME_RE.search(stderr)
         internal_time = float(elapsed[-1]) if elapsed else None
         instructor_time = float(time_match.group(1)) if time_match else None
+        service_seconds = self.sim.now - run.started
 
         submissions.insert_one({
             "job_id": job.id,
-            "attempts": attempts,
+            "attempts": run.attempts,
             "kind": job.kind.value,
             "username": job.username,
             "team": job.team,
             "worker": self.id,
-            "status": status.value,
-            "exit_code": exit_code,
+            "status": run.status.value,
+            "exit_code": run.exit_code,
             "submitted_at": job.submitted_at,
             "finished_at": self.sim.now,
             # Worker-side service time (fetch + acquire + build + upload):
             # the scheduler's runtime estimator seeds SJF from this.
             "service_seconds": service_seconds,
-            "pool_hit": pool_hit,
+            "pool_hit": run.pool_hit,
             "internal_time": internal_time,
             "instructor_time": instructor_time,
-            "correctness": float(correctness[-1]) if correctness else None,
-            "build_url": build_url,
-            "log_bytes": sum(len(t) for _, t in outputs),
+            "correctness": correctness,
+            "build_url": run.build_url,
+            "log_bytes": sum(len(t) for _, t in run.outputs),
             "stdout_tail": stdout[-2000:],
             "stderr_tail": stderr[-2000:],
         })
         self.system.counters.incr("jobs_recorded")
-        if service_seconds is not None:
-            # Feed the fair-share estimator that owns this job's key: the
-            # shared scheduler, or its partition's instance when sharded.
-            note = getattr(self.system, "note_completion", None)
-            if note is not None:
-                note(job.team or job.username, service_seconds)
-            else:
-                scheduler = getattr(self.system, "scheduler", None)
-                if scheduler is not None:
-                    scheduler.note_completion(job.team or job.username,
-                                              service_seconds)
+        # Feed the fair-share estimator that owns this job's key: the
+        # shared scheduler, or its partition's instance when sharded.
+        self.system.note_completion(job.team or job.username,
+                                    service_seconds)
 
-        if job.kind is JobKind.SUBMIT and status is JobStatus.SUCCEEDED \
+        if job.kind is JobKind.SUBMIT and run.status is JobStatus.SUCCEEDED \
                 and internal_time is not None and job.team:
             self.system.ranking.record_final(
                 team=job.team,
                 internal_time=internal_time,
                 instructor_time=instructor_time or internal_time,
-                correctness=float(correctness[-1]) if correctness else 0.0,
+                correctness=correctness or 0.0,
                 username=job.username,
                 job_id=job.id,
                 at=self.sim.now,
             )
-            if record_span is not None:
-                record_span.add_event("ranking.recorded", team=job.team)
-        if record_span is not None:
-            record_span.set_attribute("duplicate", False)
-            record_span.end()
-        return True
+            record_span.add_event("ranking.recorded", team=job.team)
+        record_span.set_attribute("duplicate", False)
+        record_span.end()
+
+
+class _JobRun:
+    """One job's state as it moves through the worker's stages."""
+
+    __slots__ = ("worker", "job", "attempts", "span", "producer", "outputs",
+                 "deadline", "started", "status", "exit_code", "build_url",
+                 "pool_hit", "source_digest", "exec_seconds",
+                 "saved_seconds", "fetch_bytes", "upload_bytes")
+
+    def __init__(self, worker: RaiWorker, job: Job, attempts: int, span):
+        now = worker.sim.now
+        self.worker = worker
+        self.job = job
+        self.attempts = attempts
+        self.span = span
+        self.producer = Producer(worker.system.broker, f"log_{job.id}")
+        #: (stream, text) of everything the job printed, for the record.
+        self.outputs: List[tuple] = []
+        limit = worker.config.job_deadline_seconds
+        self.deadline = now + limit if limit is not None else None
+        self.started = now
+        self.status = JobStatus.FAILED
+        self.exit_code: Optional[int] = None
+        self.build_url: Optional[str] = None
+        self.pool_hit: Optional[bool] = None
+        self.source_digest: Optional[str] = None
+        # Usage tallies, folded into ONE meter call by _finish (metering
+        # must stay off the per-command path).
+        self.exec_seconds = 0.0
+        self.saved_seconds = 0.0
+        self.fetch_bytes = 0
+        self.upload_bytes = 0
+
+    def publish(self, kind: str, _headers=None, **payload) -> None:
+        """One message on the job's ``log_${job_id}`` topic."""
+        self.producer.publish({"type": kind, "t": self.worker.sim.now,
+                               "worker": self.worker.id, **payload},
+                              headers=_headers)
+
+    def log(self, stream: str, text: str) -> None:
+        """Student-visible output: kept for the record and published."""
+        self.outputs.append((stream, text))
+        self.publish("log", stream=stream, text=text)

@@ -324,6 +324,21 @@ class MetricsRegistry:
         return out
 
 
+class MetricHandles(dict):
+    """Metric handles by key (a label value or name), each resolved via
+    ``resolve(key)`` on first use — never up front — then a dict probe."""
+
+    __slots__ = ("_resolve",)
+
+    def __init__(self, resolve: Callable[[str], Metric]):
+        super().__init__()
+        self._resolve = resolve
+
+    def __missing__(self, key: str) -> Metric:
+        handle = self[key] = self._resolve(key)
+        return handle
+
+
 class CounterGroup:
     """A bundle of unlabelled counters named ``prefix + name``.
 

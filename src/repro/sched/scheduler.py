@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
+from repro.obs.metrics import MetricHandles
 from repro.sched.estimator import RuntimeEstimator
 
 
@@ -69,6 +70,8 @@ class JobScheduler:
         self.policy = policy or SchedulerPolicy()
         self.estimator = estimator or RuntimeEstimator()
         self.metrics = metrics
+        self._histograms = (MetricHandles(metrics.histogram)
+                            if metrics is not None else None)
         #: Optional :class:`~repro.obs.events.EventLog` for dispatch records.
         self.events = events
         #: Optional ``predictor(msg) -> bool``: True when the job is
@@ -189,10 +192,10 @@ class JobScheduler:
         self._team_wait_count[key] = self._team_wait_count.get(key, 0) + 1
         headers = getattr(msg, "headers", None) or {}
         trace_id = headers.get("trace_id")
-        if self.metrics is not None:
+        if self._histograms is not None:
             # trace_id pins an exemplar to the wait's bucket: a burned
             # queue-wait SLO names the exact job that waited this long.
-            self.metrics.histogram("sched_queue_wait_seconds").observe(
+            self._histograms["sched_queue_wait_seconds"].observe(
                 wait, trace_id=trace_id, at=now)
         if self.events is not None:
             body = getattr(msg, "body", None)

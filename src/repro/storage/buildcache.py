@@ -37,6 +37,7 @@ from collections import OrderedDict
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.obs.events import EventType
+from repro.obs.metrics import CounterGroup
 from repro.vfs.filesystem import (
     AccessTrace,
     VirtualFileSystem,
@@ -156,6 +157,8 @@ class BuildCache:
         self.max_bytes = int(max_bytes)
         self.ttl_seconds = float(ttl_seconds)
         self.metrics = metrics
+        self._counters = (CounterGroup(metrics)
+                          if metrics is not None else None)
         self.events = events
         #: content key → entry, LRU order (oldest first).
         self._entries: "OrderedDict[str, CacheEntry]" = OrderedDict()
@@ -197,16 +200,16 @@ class BuildCache:
                 keys.remove(key)
                 keys.insert(0, key)
                 self.hit_count += 1
-                if self.metrics is not None:
-                    self.metrics.counter("buildcache_hits_total").inc()
+                if self._counters is not None:
+                    self._counters.incr("buildcache_hits_total")
                 if self.events is not None:
                     self.events.emit(EventType.BUILDCACHE_HIT,
                                      job_id=job_id, command=command,
                                      key=key[:16], artifact_bytes=entry.bytes)
                 return entry
         self.miss_count += 1
-        if self.metrics is not None:
-            self.metrics.counter("buildcache_misses_total").inc()
+        if self._counters is not None:
+            self._counters.incr("buildcache_misses_total")
         if self.events is not None:
             self.events.emit(EventType.BUILDCACHE_MISS,
                              job_id=job_id, command=command)

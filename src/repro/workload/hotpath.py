@@ -86,7 +86,6 @@ DEFAULT_SCALES = (
 
 
 def run_hotpath(scale: HotpathScale, seed: int = 408,
-                dedup: bool = True,
                 config: Optional[SystemConfig] = None,
                 observability: bool = False,
                 durability_path: Optional[str] = None) -> dict:
@@ -103,7 +102,6 @@ def run_hotpath(scale: HotpathScale, seed: int = 408,
     """
     wall_start = time.perf_counter()
     config = config or SystemConfig()
-    config.dedup_uploads = dedup
     system = RaiSystem.standard(
         num_workers=scale.n_workers, seed=seed, config=config,
         worker_config=WorkerConfig(max_concurrent_jobs=2))
@@ -191,7 +189,6 @@ def run_hotpath(scale: HotpathScale, seed: int = 408,
         "scale": {"name": scale.name, "n_students": scale.n_students,
                   "n_resubmissions": scale.n_resubmissions,
                   "n_workers": scale.n_workers},
-        "dedup_enabled": dedup,
         "submissions_completed": len(latencies),
         "latency_s": _latency_stats(latencies),
         "first_latency_s": _latency_stats(first_latencies),

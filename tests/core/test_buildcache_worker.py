@@ -3,6 +3,7 @@
 import pytest
 
 from repro.buildspec import CACHEABLE_PROGRAMS, command_cacheable
+from repro.core.config import WorkerConfig
 from repro.core.job import JobStatus
 from repro.core.system import RaiSystem
 
@@ -192,3 +193,46 @@ commands:
         assert r1.correctness == r2.correctness == 1.0
         assert r1.internal_time is not None
         assert r2.internal_time is not None
+
+
+class TestReplayDrawCount:
+    """``CacheEntry.rng_draws`` counts only the captured command's draws.
+
+    The container counts its own ``time_dilation`` calls, so a job that
+    co-runs on the same worker — drawing timing noise from the same
+    stream while the captured command's sim time elapses — cannot leak
+    into the count.
+    """
+
+    BUSY_BUILD = ("rai:\n  version: 0.2\n  image: webgpu/rai:root\n"
+                  "commands:\n  build: ["
+                  + ", ".join(['"sleep 1"'] * 40) + "]\n")
+
+    def _draws(self, slots, co_runner):
+        system = RaiSystem.standard(
+            num_workers=1, seed=3,
+            worker_config=WorkerConfig(max_concurrent_jobs=slots))
+        client = system.new_client(team="t")
+        client.stage_project(FILES)
+        submissions = [client.submit()]
+        if co_runner:
+            # Uncacheable commands only: every cache entry is the
+            # measured project's.
+            other = system.new_client(team="busy")
+            other.stage_project(FILES)
+            other.set_build_file(self.BUSY_BUILD)
+            submissions.insert(0, other.submit())
+        results = system.run_all(submissions)
+        assert all(r.status is JobStatus.SUCCEEDED for r in results)
+        if co_runner:
+            busy, measured = results
+            assert busy.finished_at > measured.finished_at
+        return {entry.command: entry.rng_draws
+                for entry in system.build_cache._entries.values()}
+
+    def test_draw_count_independent_of_co_running_jobs(self):
+        solo = self._draws(slots=1, co_runner=False)
+        shared = self._draws(slots=2, co_runner=True)
+        assert set(solo) == {"cmake /src", "make"}
+        assert sum(solo.values()) > 0
+        assert shared == solo

@@ -5,6 +5,7 @@ import pytest
 from repro.core.config import WorkerConfig
 from repro.core.interactive import InteractiveSession, reset_session_ids
 from repro.core.system import RaiSystem
+from repro.errors import RaiError
 
 FILES = {
     "main.cu": "// @rai-sim quality=0.8 impl=analytic\n",
@@ -117,3 +118,50 @@ class TestSessionVariants:
         assert [o.command for o in transcript.outcomes] == \
             ["pwd", "ls /data", "hostname"]
         assert all(o.exit_code == 0 for o in transcript.outcomes)
+
+
+class TestWorkerLossEndsSession:
+    """A stop or crash is reported as the worker going away — never as a
+    fetch failure, and never as the student detaching."""
+
+    @pytest.mark.parametrize("action", ["stop", "crash"])
+    @pytest.mark.parametrize("phase", ["fetch", "command"])
+    def test_worker_loss_reported_as_worker_stopped(self, action, phase):
+        system = RaiSystem(seed=55)
+        worker = system.add_worker(WorkerConfig(
+            enable_interactive=True,
+            # 10 B/s keeps the project fetch in flight at t=5.
+            storage_bandwidth_bps=10.0 if phase == "fetch" else 1e9))
+        client = system.new_client(team="t")
+        client.stage_project(FILES)
+        session = InteractiveSession(client)
+        ended_mid_command = []
+
+        def kill_in(seconds):
+            yield system.sim.timeout(seconds)
+            getattr(worker, action)()
+
+        def student(sim):
+            if phase == "fetch":
+                sim.process(kill_in(5.0))
+            yield from session.start()
+            if phase == "command":
+                assert session.is_attached
+                sim.process(kill_in(5.0))
+                try:
+                    yield from session.run("sleep 100")
+                except RaiError as exc:
+                    ended_mid_command.append(str(exc))
+            return session.transcript
+
+        transcript = system.run(student(system.sim))
+        (row,) = system.db.collection("interactive_sessions").find(
+            {}).to_list()
+        assert row["end_reason"] == "worker-stopped"
+        if phase == "fetch":
+            assert transcript.status == "rejected"
+            assert transcript.error == "worker-stopped"
+        else:
+            assert transcript.end_reason == "worker-stopped"
+            assert ended_mid_command == [
+                "session ended mid-command: worker-stopped"]
