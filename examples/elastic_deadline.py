@@ -42,7 +42,6 @@ def main() -> None:
     provisioner = Provisioner(system)
     policy = AutoscalerPolicy(min_instances=2, max_instances=16, step=3,
                               check_interval=120.0,
-                              scale_out_per_worker=1.5,
                               scale_in_cooldown=1800.0)
     autoscaler = Autoscaler(system, provisioner, policy)
     system.sim.process(autoscaler.run())

@@ -76,9 +76,6 @@ class AutoscalerPolicy:
 
     min_instances: int = 1
     max_instances: int = 30
-    #: Legacy queue-depth trigger, superseded by utilisation + wait EWMA
-    #: (kept so saved policies keep constructing).
-    scale_out_per_worker: float = 2.0
     #: Scale in when the whole queue is below this and utilisation is low.
     scale_in_queue_depth: int = 0
     scale_in_idle_fraction: float = 0.5

@@ -28,10 +28,3 @@ class ResourceLimits:
             raise ValueError("max_lifetime_seconds must be positive")
         if self.max_output_bytes <= 0:
             raise ValueError("max_output_bytes must be positive")
-
-    @staticmethod
-    def unrestricted() -> "ResourceLimits":
-        """No effective caps — what a student-provided machine looks like."""
-        return ResourceLimits(memory_bytes=1 << 62, network_enabled=True,
-                              max_lifetime_seconds=1e12,
-                              max_output_bytes=1 << 62)

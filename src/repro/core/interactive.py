@@ -27,6 +27,7 @@ from typing import List, Optional, Tuple
 
 from repro.auth.signing import sign_request, verify_request
 from repro.broker.client import Consumer, Producer
+from repro.core.client import CLIENT_BANDWIDTH_BPS
 from repro.errors import (
     BuildSpecError,
     ImageNotFound,
@@ -134,8 +135,7 @@ class InteractiveSession:
         upload_key = None
         if self.upload_project and self.client.project_fs.file_count("/"):
             archive = pack_tree(self.client.project_fs, "/")
-            yield self.sim.timeout(
-                len(archive) / self.system.config.client_bandwidth_bps)
+            yield self.sim.timeout(len(archive) / CLIENT_BANDWIDTH_BPS)
             upload_key = f"{profile.username}/{self.session_id}.tar.bz2"
             self.system.storage.put_object(
                 self.system.config.upload_bucket, upload_key, archive,

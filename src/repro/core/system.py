@@ -40,6 +40,12 @@ from repro.storage.buildcache import BuildCache
 from repro.storage.lifecycle import LifecycleRule
 from repro.storage.object_store import ObjectStore
 
+#: The paper's file-server lifetime rules (§IV/§V): uploaded project
+#: archives expire one month after last use ("between 1 and 3 months"),
+#: build outputs three months after creation.
+UPLOAD_LIFETIME_SECONDS = 30 * 24 * 3600.0
+BUILD_LIFETIME_SECONDS = 90 * 24 * 3600.0
+
 
 class RaiSystem:
     """A complete RAI deployment on one simulation kernel."""
@@ -72,7 +78,6 @@ class RaiSystem:
         #: alert transitions — one queryable, trace-linked stream.
         self.events = EventLog(
             clock=lambda: self.sim.now,
-            max_events=self.config.event_log_max_events,
             enabled=self.config.event_log_enabled)
         #: Per-tenant usage metering + fleet-cost attribution
         #: (``repro.obs.usage``).  Every layer below meters into
@@ -86,7 +91,6 @@ class RaiSystem:
         self.cost_allocator = CostAllocator(
             self.usage, clock=lambda: self.sim.now,
             window_seconds=self.config.usage_window_seconds,
-            budget_window_seconds=self.config.usage_budget_window_seconds,
             metrics=self.metrics, events=self.events)
         #: Provisioners currently attached (``repro.cluster``); the
         #: cluster_* gauges below sum over this list.
@@ -95,9 +99,7 @@ class RaiSystem:
         self.broker = MessageBroker(self.sim, metrics=self.metrics,
                                     tracer=self.tracer, events=self.events)
         self.broker.usage = self.usage
-        self.storage = ObjectStore(self.sim,
-                                   chunk_size=self.config.chunk_size_bytes,
-                                   metrics=self.metrics)
+        self.storage = ObjectStore(self.sim, metrics=self.metrics)
         self.storage.usage = self.usage
         #: Content-keyed build-artifact cache shared by every worker
         #: (``repro.storage.buildcache``); None reproduces the
@@ -106,8 +108,6 @@ class RaiSystem:
         if self.config.buildcache_enabled:
             self.build_cache = BuildCache(
                 clock=lambda: self.sim.now,
-                max_bytes=self.config.buildcache_max_bytes,
-                ttl_seconds=self.config.buildcache_ttl_seconds,
                 metrics=self.metrics, events=self.events)
         self.db = DocumentDB(self.sim, metrics=self.metrics)
         self.db.usage = self.usage
@@ -155,17 +155,13 @@ class RaiSystem:
             self.scheduler = self._partition_scheduler(0)
             self.broker.channel("rai/tasks").scheduler = self.scheduler
 
-        # File-server buckets and the paper's lifetime rules (§IV/§V):
-        # uploads expire one month after last use; build outputs after
-        # three months.
+        # File-server buckets and the paper's lifetime rules.
         uploads = self.storage.create_bucket(self.config.upload_bucket)
         uploads.add_lifecycle_rule(LifecycleRule(
-            expire_after=self.config.upload_lifetime_seconds,
-            since="last_use"))
+            expire_after=UPLOAD_LIFETIME_SECONDS, since="last_use"))
         builds = self.storage.create_bucket(self.config.build_bucket)
         builds.add_lifecycle_rule(LifecycleRule(
-            expire_after=self.config.build_lifetime_seconds,
-            since="creation"))
+            expire_after=BUILD_LIFETIME_SECONDS, since="creation"))
 
         # Callback gauges: live deployment signals readable straight off
         # the registry (and sampled over time by the scraper).
@@ -218,17 +214,12 @@ class RaiSystem:
         # on demand; :meth:`start_observability` adds the periodic loop.
         self.scraper = MetricsScraper(
             self.metrics, clock=lambda: self.sim.now,
-            interval=self.config.scrape_interval_seconds,
-            max_samples=self.config.scrape_max_samples)
+            interval=self.config.scrape_interval_seconds)
         self.slo_engine = SloEngine(
             self.scraper,
-            specs=default_slos(
-                queue_wait_p95_seconds=self.config
-                .slo_queue_wait_p95_seconds,
-                success_target=self.config.slo_success_target),
+            specs=default_slos(),
             fast_window=self.config.slo_fast_window_seconds,
-            slow_window=self.config.slo_slow_window_seconds,
-            burn_rate_threshold=self.config.slo_burn_rate_threshold)
+            slow_window=self.config.slo_slow_window_seconds)
         self.alerts = AlertManager(clock=lambda: self.sim.now,
                                    events=self.events)
         self.alerts.attach_slo_engine(self.slo_engine)
@@ -417,11 +408,9 @@ class RaiSystem:
                              route=route, attempts=message.attempts)
         return drained
 
-    def start_dead_letter_consumer(self, interval: Optional[float] = None):
+    def start_dead_letter_consumer(self, interval: float = 300.0):
         """Start the periodic dead-letter drain (opt-in, like the
         caretaker: it is a perpetual process)."""
-        if interval is None:
-            interval = self.config.dead_letter_sweep_seconds
 
         def _consumer_loop():
             while True:
@@ -567,15 +556,13 @@ class RaiSystem:
         return JobScheduler(
             clock=lambda: self.sim.now,
             policy=SchedulerPolicy(
-                quantum_seconds=self.config.sched_quantum_seconds,
                 deadline_at=self.config.course_deadline_at,
                 deadline_window_seconds=self.config
                 .deadline_boost_window_seconds),
             estimator=RuntimeEstimator(history_fn=self._service_history),
             metrics=self.metrics, events=self.events,
             hit_predictor=(self._predict_build_hit
-                           if self.build_cache is not None else None),
-            hit_cost_factor=self.config.buildcache_hit_cost_factor)
+                           if self.build_cache is not None else None))
 
     def _predict_build_hit(self, msg) -> bool:
         """SJF hint: has this message's source tree built here before?

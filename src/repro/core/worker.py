@@ -41,14 +41,25 @@ from repro.errors import (
     StorageError,
     TransientStorageError,
 )
+from repro.faults.retry import RetryPolicy
 from repro.gpu.device import get_device
 from repro.obs.events import EventType
 from repro.obs.metrics import MetricHandles
-from repro.storage.buildcache import image_cache_key
+from repro.storage.buildcache import REPLAY_SECONDS, image_cache_key
 from repro.storage.chunkstore import digest_file_map
 from repro.vfs import VirtualFileSystem, file_digest, pack_tree, unpack_tree
 
 _worker_counter = itertools.count(1)
+
+#: Relative runtime jitter when running alone (measurement noise).
+SOLO_JITTER = 0.02
+#: Additional relative jitter per concurrent co-running job (contention;
+#: drives the single-vs-multi timing-accuracy ablation).
+CONTENTION_JITTER = 0.35
+#: Retry budget for storage fetch/upload (transient errors only).
+STORAGE_RETRY = RetryPolicy()
+#: Presigned build-URL validity (``presign_get`` defaults to one hour).
+PRESIGN_EXPIRY_SECONDS = 7 * 24 * 3600.0
 
 
 def _defuse_interrupt_failure(process_event) -> None:
@@ -69,14 +80,12 @@ class RaiWorker:
         self.gpu = get_device(self.config.gpu_model)
         self.runtime = ContainerRuntime(
             registry=system.registry,
-            pull_bandwidth_bps=self.config.pull_bandwidth_bps,
             clock=lambda: self.sim.now,
         )
         self.pool = WarmContainerPool(
             self.runtime,
             clock=lambda: self.sim.now,
             max_per_image=self.config.warm_pool_size,
-            ttl_seconds=self.config.warm_pool_ttl_seconds,
             create_seconds=self.config.container_create_seconds,
             reset_seconds=self.config.container_reset_seconds,
             events=system.events,
@@ -441,7 +450,7 @@ class RaiWorker:
                                seconds=pull_cost)
             self.system.counters.incr(
                 "image_bytes_pulled",
-                int(pull_cost * self.config.pull_bandwidth_bps))
+                int(pull_cost * self.runtime.pull_bandwidth_bps))
             yield self.sim.timeout(pull_cost)
             self._check_deadline(run.deadline)
         container, run.pool_hit, acquire_cost = self.pool.acquire(
@@ -463,7 +472,7 @@ class RaiWorker:
                 "warm" if run.pool_hit else "cold"].observe(acquire_cost)
             self._check_deadline(run.deadline)
             # Contention noise flows into the container's measured times:
-            # alone on a worker it is ~solo_jitter; with co-running jobs
+            # alone on a worker it is ~SOLO_JITTER; with co-running jobs
             # it grows — the single-job-mode ablation's mechanism.
             container.time_dilation = self._timing_noise
             container.start()
@@ -518,8 +527,7 @@ class RaiWorker:
             for _ in range(entry.rng_draws):
                 self._timing_noise()
             artifact_bytes = build_cache.apply(entry, container.fs)
-            replay_seconds = (self.system.config.buildcache_replay_seconds
-                              + artifact_bytes
+            replay_seconds = (REPLAY_SECONDS + artifact_bytes
                               / self.config.storage_bandwidth_bps)
             exec_span.set_attribute("cache", "hit")
             exec_span.add_event(
@@ -612,7 +620,7 @@ class RaiWorker:
         run.upload_bytes = len(blob)
         run.build_url = self.system.storage.presign_get(
             config.build_bucket, key,
-            expires_in=config.presign_expiry_seconds)
+            expires_in=PRESIGN_EXPIRY_SECONDS)
         run.publish("build", url=run.build_url, key=key,
                     bucket=config.build_bucket, size=len(blob))
 
@@ -745,7 +753,7 @@ class RaiWorker:
         errors and the final transient failure propagate unaltered.
         ``span`` gets a ``retry`` event per attempt.
         """
-        policy = self.config.storage_retry
+        policy = STORAGE_RETRY
 
         def on_retry(attempt, exc):
             self._check_deadline(run.deadline)
@@ -771,10 +779,9 @@ class RaiWorker:
 
     def _timing_noise(self) -> float:
         """Runtime multiplier; grows with co-running jobs (contention)."""
-        base = 1.0 + self.config.solo_jitter * float(self._rng.random())
+        base = 1.0 + SOLO_JITTER * float(self._rng.random())
         others = max(0, self.active_jobs - 1)
-        contention = self.config.contention_jitter * others * \
-            float(self._rng.random())
+        contention = CONTENTION_JITTER * others * float(self._rng.random())
         return base + contention
 
     def _record(self, run: "_JobRun") -> None:

@@ -52,7 +52,6 @@ from repro.obs.usage import (
     CostAllocator,
     CostWindow,
     UsageMeter,
-    UsageRecord,
 )
 from repro.obs.tracer import Tracer
 from repro.obs.waterfall import (
@@ -73,7 +72,7 @@ __all__ = [
     "MetricsScraper", "MetricsSnapshot",
     "SloSpec", "SloEngine", "SloStatus", "default_slos",
     "Alert", "AlertManager",
-    "UsageMeter", "UsageRecord", "CostAllocator", "CostWindow",
+    "UsageMeter", "CostAllocator", "CostWindow",
     "USAGE_RESOURCES", "UNATTRIBUTED",
     "span_to_dict", "trace_to_dict", "export_trace_json",
     "export_spans_jsonl", "export_metrics_json",

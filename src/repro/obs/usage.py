@@ -69,19 +69,6 @@ UNATTRIBUTED = "(unattributed)"
 
 
 @dataclass
-class UsageRecord:
-    """One typed, attributed usage sample (the meter's unit of entry)."""
-
-    resource: str
-    amount: float
-    tenant: str
-    course: str
-    at: float
-    job_id: Optional[str] = None
-    trace_id: Optional[str] = None
-
-
-@dataclass
 class JobExemplar:
     """Rolled-up usage for one job, kept for `rai cost` trace exemplars."""
 

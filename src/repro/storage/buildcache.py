@@ -50,6 +50,10 @@ DEFAULT_MAX_BYTES = 256 << 20
 #: Default entry TTL (idle time before eviction) — two weeks of sim time,
 #: comfortably past any one project deadline cycle.
 DEFAULT_TTL_SECONDS = 14 * 24 * 3600.0
+#: Fixed per-hit replay latency (cache probe + bookkeeping); the worker
+#: charges the artifact transfer itself from bytes over its storage
+#: bandwidth.
+REPLAY_SECONDS = 0.05
 
 
 def image_cache_key(image) -> str:

@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.broker.broker import MessageBroker
 from repro.broker.client import Consumer
-from repro.broker.message import reset_message_ids
+from repro.broker.message import message_pool, reset_message_ids
 from repro.docdb.database import DocumentDB
 from repro.obs.events import EventLog
 from repro.obs.metrics import MetricsRegistry
@@ -223,8 +223,7 @@ def run_kernel_workload(scale: KernelScale, seed: int = 408,
 
     # Opt-in fan-out-copy recycling: this loop provably drops its message
     # reference after ack, so it may return copies to the broker freelist.
-    # Resolved once (None on builds without the pool).
-    release = getattr(type(channel), "ack_release", None)
+    release = channel.ack_release
 
     def worker(wid: int, service: _ChunkedExponential):
         consumer = Consumer(broker, "tasks/workers")
@@ -254,10 +253,7 @@ def run_kernel_workload(scale: KernelScale, seed: int = 408,
                 submissions.insert_one({"job_id": body["j"],
                                         "student": body["s"],
                                         "finished_at": now})
-            if release is not None:
-                release(channel, msg)
-            else:
-                channel.ack(msg)
+            release(msg)
             if n >= total:
                 done.succeed()
                 break
@@ -279,43 +275,14 @@ def run_kernel_workload(scale: KernelScale, seed: int = 408,
         submissions=state["completed"],
         wall_s=wall,
         sim_duration_s=sim.now,
-        kernel_events=_scheduled_events(sim),
+        kernel_events=sim.scheduled_events,
         trace_digest=digest.hexdigest(),
         latency_p50=latency.percentile(50),
         latency_p95=latency.percentile(95),
         events_emitted=events.total_emitted,
         docdb_docs=len(submissions),
-        message_pool_stats=_pool_stats(),
+        message_pool_stats=message_pool.stats(),
     )
-
-
-def _scheduled_events(sim) -> int:
-    """Total events ``sim`` ever scheduled, on either kernel generation.
-
-    The optimized kernel exposes :attr:`Simulator.scheduled_events`; the
-    pre-PR kernel kept an ``itertools.count`` tiebreaker, whose next value
-    is recoverable from its pickle form without consuming it — so the
-    baseline capture can report real event counts from unmodified code.
-    """
-    n = getattr(sim, "scheduled_events", None)
-    if n is not None:
-        return n
-    seq = getattr(sim, "_seq", None)
-    if seq is None:
-        return 0
-    try:
-        return int(seq.__reduce__()[1][0])
-    except Exception:
-        return 0
-
-
-def _pool_stats() -> Optional[dict]:
-    """Fan-out-copy freelist stats, when the broker exposes one."""
-    try:
-        from repro.broker.message import message_pool
-    except ImportError:
-        return None
-    return message_pool.stats()
 
 
 # -- per-subsystem sub-benches -------------------------------------------------
@@ -367,8 +334,7 @@ def bench_broker(n_messages: int = 100_000, n_consumers: int = 8,
             yield timeout(gaps[i])
             publish("bench", {"i": i})
 
-    channel = broker.channel("bench/c")
-    release = getattr(type(channel), "ack_release", None)
+    release = broker.channel("bench/c").ack_release
 
     def consumer_proc():
         consumer = Consumer(broker, "bench/c")
@@ -378,10 +344,7 @@ def bench_broker(n_messages: int = 100_000, n_consumers: int = 8,
                 msg = yield consumer.get()
                 if msg is None:
                     break
-            if release is not None:
-                release(channel, msg)
-            else:
-                channel.ack(msg)
+            release(msg)
             state["done"] += 1
             if state["done"] >= n_messages:
                 finished.succeed()

@@ -49,8 +49,8 @@ class TestAutoscaler:
     def make(self, system, **kwargs):
         provisioner = Provisioner(system)
         defaults = dict(min_instances=1, max_instances=6,
-                        check_interval=30.0, scale_out_per_worker=1.0,
-                        step=2, scale_in_cooldown=600.0)
+                        check_interval=30.0, step=2,
+                        scale_in_cooldown=600.0)
         defaults.update(kwargs)
         policy = AutoscalerPolicy(**defaults)
         scaler = Autoscaler(system, provisioner, policy)

@@ -22,8 +22,7 @@ class TestAutoscaledCourse:
         simulation.provisioner = provisioner
         simulation.result.provisioner = provisioner
         policy = AutoscalerPolicy(min_instances=1, max_instances=8,
-                                  check_interval=60.0,
-                                  scale_out_per_worker=0.5)
+                                  check_interval=60.0)
         scaler = Autoscaler(simulation.system, provisioner, policy)
         simulation.system.sim.process(scaler.run())
         result = simulation.run()

@@ -6,6 +6,8 @@ cache disabled — and must be *invisible* in results: the grading digest
 of a whole course is byte-identical with the cache on and off.
 """
 
+import sys
+
 import pytest
 
 from repro.core.config import SystemConfig
@@ -45,6 +47,45 @@ def test_first_build_overhead_under_five_percent():
     assert ratio < 1.05, (
         f"build-cache first-build overhead {100 * (ratio - 1):.1f}% "
         "exceeds 5% budget")
+
+
+#: The clock-free twin's run: first submissions only, small enough that
+#: profiling every call stays cheap.
+COUNTED_SCALE = HotpathScale("firstbuild-counted", n_students=8,
+                             n_resubmissions=0, n_workers=4)
+
+
+def _python_calls(cache_enabled: bool) -> int:
+    """Python and builtin calls one first-build run makes."""
+    config = SystemConfig()
+    config.buildcache_enabled = cache_enabled
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" or event == "c_call":
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        run_hotpath(COUNTED_SCALE, config=config)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_first_build_calls_under_five_percent():
+    # Deterministic twin of the timing gate above: the same 5% budget,
+    # judged on call counts, which do not depend on machine load.  One
+    # warm pair runs first, because the first run in a process also
+    # pays one-time imports and cache fills (about 35k calls here).
+    _python_calls(cache_enabled=True)
+    _python_calls(cache_enabled=False)
+    on = _python_calls(cache_enabled=True)
+    off = _python_calls(cache_enabled=False)
+    assert on <= 1.05 * off, (
+        f"build-cache first builds made {on} calls against {off} with "
+        f"the cache off ({100 * (on / off - 1):.1f}% over)")
 
 
 def test_grading_digest_identical_cache_on_vs_off():
